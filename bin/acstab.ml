@@ -387,7 +387,7 @@ let run_cmd =
     let findings =
       List.map
         (fun f -> Format.asprintf "%a" (Lint.Rule.pp_finding ~file) f)
-        (Lint.Runner.run circ)
+        (Tool.Pipeline.lint_findings loaded)
     in
     let w0 = Unix.gettimeofday () and c0 = Tool.Pipeline.cpu_seconds () in
     (* One manifest helper serves the crash report (results-free: the

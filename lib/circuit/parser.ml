@@ -19,30 +19,52 @@ let strip_comment s =
   String.sub s 0 !cut
 
 (* .include expansion happens on raw text so included cards participate in
-   subckt extraction and the param pre-pass like inline text. *)
-let rec expand_includes ~base_dir ~depth text =
-  if depth > 8 then failwith "netlist .include nesting deeper than 8";
-  String.split_on_char '\n' text
-  |> List.map (fun line ->
-      let t = String.trim line in
-      let lowered = String.lowercase_ascii t in
-      if String.length lowered >= 9
-         && String.sub lowered 0 9 = ".include " then begin
-        let path = String.trim (String.sub t 9 (String.length t - 9)) in
-        let path = try Scanf.sscanf path "%S" (fun s -> s) with _ -> path in
-        let full =
-          if Filename.is_relative path then Filename.concat base_dir path
-          else path
-        in
-        let ic = open_in full in
-        let len = in_channel_length ic in
-        let body = really_input_string ic len in
-        close_in ic;
-        expand_includes ~base_dir:(Filename.dirname full) ~depth:(depth + 1)
-          body
-      end
-      else line)
-  |> String.concat "\n"
+   subckt extraction and the param pre-pass like inline text. Lines are
+   split and rejoined on '\n' only, so a deck without [.include] comes
+   back byte-identical. Every failure is a [Parse_error] at the
+   top-level line whose [.include] started the chain. *)
+let max_include_depth = 8
+
+(* Up to the length the file reports, not to end of stream, so a device
+   path such as /dev/zero cannot stream without bound. *)
+let read_file path =
+  In_channel.with_open_bin path (fun ic ->
+      try really_input_string ic (in_channel_length ic) with
+      | Sys_error m -> raise (Sys_error (path ^ ": " ^ m))
+      | End_of_file -> raise (Sys_error (path ^ ": shrank while read")))
+
+let include_target line =
+  let t = String.trim line in
+  if String.length t >= 9
+     && String.lowercase_ascii (String.sub t 0 9) = ".include " then
+    let path = String.trim (String.sub t 9 (String.length t - 9)) in
+    Some (try Scanf.sscanf path "%S" (fun s -> s) with _ -> path)
+  else None
+
+let expand_includes ?(base_dir = Filename.current_dir_name) text =
+  let rec expand ~base_dir ~depth ~top text =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i line ->
+        let top = Option.value top ~default:(i + 1) in
+        match include_target line with
+        | None -> line
+        | Some path ->
+          if depth >= max_include_depth then
+            fail top ".include nesting deeper than %d (does a file \
+                      include itself?)" max_include_depth;
+          let full =
+            if Filename.is_relative path then Filename.concat base_dir path
+            else path
+          in
+          let body =
+            try read_file full
+            with Sys_error m -> fail top "cannot read .include: %s" m
+          in
+          expand ~base_dir:(Filename.dirname full) ~depth:(depth + 1)
+            ~top:(Some top) body)
+    |> String.concat "\n"
+  in
+  expand ~base_dir ~depth:0 ~top:None text
 
 let logical_lines ?(first_num = 1) text =
   let raw = String.split_on_char '\n' text in
@@ -557,7 +579,7 @@ let looks_like_card s =
 
 let parse_string ?(name = "netlist") ?(base_dir = Filename.current_dir_name)
     ?(first_line_title = false) text =
-  let text = expand_includes ~base_dir ~depth:0 text in
+  let text = expand_includes ~base_dir text in
   let lines = String.split_on_char '\n' text in
   (* When the first line is consumed as the title, keep numbering the
      body by physical line so recorded positions match the file. *)
@@ -596,13 +618,11 @@ let parse_string ?(name = "netlist") ?(base_dir = Filename.current_dir_name)
     top;
   ctx.circ
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  (* Files follow the strict SPICE convention: the first line is always the
-     title (unless it is a comment or a dot-card, tolerated for headless
-     decks). *)
+(* Files follow the strict SPICE convention: the first line is always the
+   title (unless it is a comment or a dot-card, tolerated for headless
+   decks). *)
+let parse_file_text path text =
   parse_string ~name:(Filename.basename path)
     ~base_dir:(Filename.dirname path) ~first_line_title:true text
+
+let parse_file path = parse_file_text path (read_file path)

@@ -40,3 +40,25 @@ val parse_string :
 
 val parse_file : string -> Netlist.t
 (** Parse a netlist file; the file name becomes the default title. *)
+
+val read_file : string -> string
+(** A netlist file's bytes as {!parse_file} reads them: as many as the
+    file's length reports, so a device path cannot stream without bound
+    (a pipe, which has no length, raises [Sys_error]). Raises
+    [Sys_error]. *)
+
+val parse_file_text : string -> string -> Netlist.t
+(** [parse_file_text path text] parses [text] as if it had been read
+    from [path]: {!parse_file}'s settings (first line is the title, the
+    basename is the default title, [.include] resolves next to [path])
+    without reading the file again. *)
+
+val expand_includes : ?base_dir:string -> string -> string
+(** Splice every [.include "file"] line's file into [text], recursively
+    (paths relative to [base_dir], default the current directory, and
+    then to the including file). Lines are split and rejoined on ['\n']
+    only, so text without [.include] comes back byte-identical. A
+    missing file or nesting deeper than 8 (a file that includes itself)
+    raises {!Parse_error} at the top-level line of the [.include] that
+    started the chain. {!parse_string} expands first; calling this
+    alone gives the exact text a deck's fingerprint should cover. *)

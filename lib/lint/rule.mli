@@ -37,8 +37,13 @@ type ctx = {
   static : Staticanalysis.Report.t Lazy.t;
 }
 
-val make_ctx : Circuit.Netlist.t -> ctx
-(** Compile the circuit when possible; never raises. *)
+val make_ctx :
+  ?static:Staticanalysis.Report.t Lazy.t -> Circuit.Netlist.t -> ctx
+(** Compile the circuit when possible; never raises. [static] supplies
+    the signal-flow report (it must be the circuit's report at
+    {!Staticanalysis.Report.default_bounds}), so a caller that keeps
+    one already does not pay for a second graph build; by default the
+    context builds its own. *)
 
 type t = {
   id : string;               (** stable identifier, also the CLI name *)

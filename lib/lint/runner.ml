@@ -22,8 +22,8 @@ let compare_finding (a : Rule.finding) (b : Rule.finding) =
     in
     if c <> 0 then c else compare a.rule_id b.rule_id
 
-let run ?(config = default) circ =
-  let ctx = Rule.make_ctx circ in
+let run ?(config = default) ?static circ =
+  let ctx = Rule.make_ctx ?static circ in
   Rules.all
   |> List.concat_map (fun (r : Rule.t) ->
          if not (enabled config r) then []

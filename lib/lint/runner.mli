@@ -4,10 +4,13 @@ type config = { disabled : string list (** rule IDs switched off *) }
 
 val default : config
 
-val run : ?config:config -> Circuit.Netlist.t -> Rule.finding list
+val run :
+  ?config:config -> ?static:Staticanalysis.Report.t Lazy.t ->
+  Circuit.Netlist.t -> Rule.finding list
 (** Run every enabled rule; findings sorted by severity, then source
     line, then rule ID. A rule that raises is reported as a warning
-    finding rather than aborting the pass. *)
+    finding rather than aborting the pass. [static] is passed to
+    {!Rule.make_ctx}. *)
 
 val errors : Rule.finding list -> Rule.finding list
 val has_errors : Rule.finding list -> bool

@@ -1,14 +1,17 @@
 (* Fingerprint-keyed memoization of the expensive pipeline stages.
 
    The paper's tool is a resident environment: a designer's session
-   re-runs the same analysis many times with small edits, so the
-   operating point, the compiled solve plan and whole result sets are
-   worth keeping between requests. Keys are strings built by
-   [Pipeline] from the deck's SHA-256 fingerprint plus the options in
-   force — an edited deck or a changed option is a different key, which
-   is all the invalidation a content-addressed cache needs.
+   re-runs the same analysis many times with small edits, so the parsed
+   deck, the operating point, the compiled solve plan and whole result
+   sets are worth keeping between requests. Keys are strings built by
+   [Pipeline] from the deck's SHA-256 fingerprint (of its text with
+   every [.include] expanded) plus the options in force — an edited
+   deck or a changed option is a different key, which is all the
+   invalidation a content-addressed cache needs.
 
-   Five families, one per pipeline stage:
+   Six families, one per pipeline stage:
+   - [deck]   : parsed circuits with their default-config lint findings
+                (filled on first need)
    - [op]     : prepared probes (MNA compile + DC operating point)
    - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses ([None]
                 when the options select a dense backend)
@@ -44,10 +47,19 @@ type result_entry = {
   manifest : Manifest.t;
 }
 
+(* The lint cell is an atomic, not a [Lazy.t]: two pool domains may
+   need one entry's findings at once, and forcing a lazy another domain
+   is forcing raises. Racing computations store equal lists. *)
+type deck_entry = {
+  circ : Circuit.Netlist.t;
+  lint : Lint.Rule.finding list option Atomic.t;
+}
+
 type t = {
   mutex : Mutex.t;
   capacity : int;
   mutable tick : int;
+  decks : deck_entry family;
   ops : Stability.Probe.t family;
   plans : Engine.Ac_plan.t option family;
   kernels : Engine.Kernel.t option family;
@@ -68,6 +80,7 @@ let create ?(capacity = default_capacity) () =
   { mutex = Mutex.create ();
     capacity = max 1 capacity;
     tick = 0;
+    decks = family "deck";
     ops = family "op";
     plans = family "plan";
     kernels = family "kernel";
@@ -104,16 +117,23 @@ let evict_lru c fam =
     | None -> ()
   end
 
+(* Caller holds the lock. A hit refreshes the entry's LRU stamp. *)
+let lookup c fam key =
+  match Hashtbl.find_opt fam.table key with
+  | Some slot ->
+    slot.last_used <- stamp c;
+    Some slot.value
+  | None -> None
+
 let find c fam key =
   locked c (fun () ->
-      match Hashtbl.find_opt fam.table key with
-      | Some slot ->
-        slot.last_used <- stamp c;
-        Obs.Counter.incr fam.hits;
-        Some slot.value
-      | None ->
-        Obs.Counter.incr fam.misses;
-        None)
+      let v = lookup c fam key in
+      Obs.Counter.incr (if Option.is_some v then fam.hits else fam.misses);
+      v)
+
+(* A lookup that neither counts nor computes, for a caller confirming
+   that an entry it expects is still resident. *)
+let peek c fam key = locked c (fun () -> lookup c fam key)
 
 let insert c fam key value =
   locked c (fun () ->
@@ -128,6 +148,8 @@ let memo c fam ~key compute =
     insert c fam key v;
     (v, false)
 
+let deck c ~key compute = memo c c.decks ~key compute
+let peek_deck c ~key = peek c c.decks key
 let op c ~key compute = memo c c.ops ~key compute
 let plan c ~key compute = memo c c.plans ~key compute
 let kernel c ~key compute = memo c c.kernels ~key compute
@@ -136,6 +158,7 @@ let sfg c ~key compute = memo c c.sfgs ~key compute
 
 let clear c =
   locked c (fun () ->
+      Hashtbl.reset c.decks.table;
       Hashtbl.reset c.ops.table;
       Hashtbl.reset c.plans.table;
       Hashtbl.reset c.kernels.table;
@@ -163,7 +186,7 @@ let family_stat (c : t) (fam : _ family) =
 
 let stats c =
   locked c (fun () ->
-      [ family_stat c c.ops; family_stat c c.plans;
+      [ family_stat c c.decks; family_stat c c.ops; family_stat c c.plans;
         family_stat c c.kernels; family_stat c c.results;
         family_stat c c.sfgs ])
 

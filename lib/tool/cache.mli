@@ -2,23 +2,26 @@
     stages.
 
     Keys are opaque strings built by {!Pipeline} from the deck's
-    SHA-256 fingerprint plus the options in force, so an edited deck or
-    a changed option is simply a different key — content addressing is
-    the whole invalidation story. Five families are memoized
-    independently: prepared probes (MNA compile + DC operating point),
-    compiled {!Engine.Ac_plan} symbolic analyses, compiled
-    {!Engine.Kernel} solve programs, complete result sets with their
-    run manifests, and static signal-flow reports
-    ({!Staticanalysis.Report.t}). A warm [result] hit therefore costs
-    zero DC solves and zero symbolic analyses — the serve smoke test
-    asserts exactly that from the [dcop.solves] / [acplan.symbolic]
-    counters — and a warm [kernel] hit costs zero kernel compiles
-    ([kernel.compiles] stays flat).
+    SHA-256 fingerprint (of its text with every [.include] expanded)
+    plus the options in force, so an edited deck, an edited included
+    file or a changed option is simply a different key — content
+    addressing is the whole invalidation story. Six families are
+    memoized independently: parsed decks with their lint findings,
+    prepared probes (MNA compile + DC operating point), compiled
+    {!Engine.Ac_plan} symbolic analyses, compiled {!Engine.Kernel}
+    solve programs, complete result sets with their run manifests, and
+    static signal-flow reports ({!Staticanalysis.Report.t}). A warm
+    request therefore runs no parse, no lint pass and no graph build
+    ([deck] hit), and a warm [result] hit costs zero DC solves and zero
+    symbolic analyses — the serve smoke test asserts exactly that from
+    the [sfg.builds] / [dcop.solves] / [acplan.symbolic] counters — and
+    a warm [kernel] hit costs zero kernel compiles ([kernel.compiles]
+    stays flat).
 
     Hit/miss/eviction telemetry flows through always-on
-    {!Obs.Counter}s: [cache.op.hits], [cache.op.misses],
-    [cache.op.evictions], and likewise for the [plan], [kernel],
-    [result] and [sfg] families.
+    {!Obs.Counter}s: [cache.deck.hits], [cache.deck.misses],
+    [cache.deck.evictions], and likewise for the [op], [plan],
+    [kernel], [result] and [sfg] families.
 
     All operations are safe to call concurrently (the serve daemon
     calls in from {!Parallel.Pool} workers). The compute thunk runs
@@ -31,6 +34,13 @@ type t
 type result_entry = {
   results : Stability.Analysis.node_result list;
   manifest : Manifest.t;
+}
+
+type deck_entry = {
+  circ : Circuit.Netlist.t;  (** the parsed deck *)
+  lint : Lint.Rule.finding list option Atomic.t;
+      (** its lint findings under {!Lint.Runner.default}, [None] until
+          first needed (a [no_lint] request never pays for them) *)
 }
 
 val default_capacity : int
@@ -47,6 +57,15 @@ val global : unit -> t
 
 (** Each accessor returns the cached or computed value plus a hit flag
     ([true] = served from cache, compute not called). *)
+
+val deck : t -> key:string -> (unit -> deck_entry) -> deck_entry * bool
+(** Parsed decks, keyed by the expanded text's fingerprint plus the two
+    parse inputs outside the text (file or inline, and the name that
+    becomes the title). A hit costs no parse, lint or graph build. *)
+
+val peek_deck : t -> key:string -> deck_entry option
+(** The resident [deck] entry under [key], if any, without counting a
+    hit or a miss — for finding the entry a loaded deck came from. *)
 
 val op :
   t -> key:string -> (unit -> Stability.Probe.t) ->
@@ -82,7 +101,7 @@ val capacity : t -> int
 
 type family_stats = {
   family : string;
-  (** ["op"], ["plan"], ["kernel"], ["result"] or ["sfg"] *)
+  (** ["deck"], ["op"], ["plan"], ["kernel"], ["result"] or ["sfg"] *)
   entries : int;       (** live entries right now *)
   capacity : int;      (** LRU bound (same for every family) *)
   hits : int;

@@ -9,13 +9,16 @@
    ([failure] carries the exit-code contract) instead of [exit] calls
    buried in command bodies.
 
-   [analyze] is memoized through {!Cache} at three grains keyed by the
-   deck's SHA-256 fingerprint plus the options in force: the prepared
-   probe (DC operating point), the compiled plan (symbolic analysis)
-   and the complete result set with its manifest. A warm repeat of the
-   same request performs zero DC solves and zero symbolic analyses;
-   a request that only changes the sweep or the probed nodes still
-   reuses the operating point and the plan. *)
+   Both halves memoize through {!Cache}, keyed by the deck's SHA-256
+   fingerprint (of the text with every .include expanded) plus the
+   options in force: [load] keeps the parsed deck and its lint findings
+   and re-applies the gate to them on every request; [analyze] keeps
+   the prepared probe (DC operating point), the compiled plan (symbolic
+   analysis), the kernel and the complete result set with its manifest.
+   A warm repeat of the same request performs no parse, no lint pass,
+   no graph build, zero DC solves and zero symbolic analyses; a request
+   that only changes the sweep or the probed nodes still reuses the
+   operating point and the plan. *)
 
 type deck =
   | Deck_file of string
@@ -58,7 +61,7 @@ let failure_message = function
     "lint: blocking findings; fix the netlist or pass --no-lint to force \
      the run"
 
-(* ---- load: parse + lint gate ---- *)
+(* ---- load: read and fingerprint, then parse + lint once per deck ---- *)
 
 let blocking policy (f : Lint.Rule.finding) =
   match f.severity with
@@ -66,49 +69,114 @@ let blocking policy (f : Lint.Rule.finding) =
   | Lint.Rule.Warning -> policy.strict
   | Lint.Rule.Info -> false
 
-let load ?(policy = default_lint_policy) deck =
+let cache_or_global = function Some c -> c | None -> Cache.global ()
+
+let bounds_fingerprint (b : Staticanalysis.Cycles.bounds) =
+  Printf.sprintf "len=%d,cycles=%d" b.max_len b.max_cycles
+
+let sfg_report c ~sha256 ~bounds circ =
+  let key = sha256 ^ "|sfg|" ^ bounds_fingerprint bounds in
+  Cache.sfg c ~key (fun () -> Staticanalysis.Report.analyze ~bounds circ)
+
+(* One lint pass at the default configuration. Its graph-powered rules
+   read the deck's [sfg] report at default bounds — the report they
+   would otherwise build for themselves — so linting adds no graph
+   build to a run that needs the report anyway. *)
+let run_lint c ~sha256 circ =
+  Obs.Span.with_ "lint" (fun () ->
+      Lint.Runner.run
+        ~static:
+          (lazy
+            (fst
+               (sfg_report c ~sha256
+                  ~bounds:Staticanalysis.Report.default_bounds circ)))
+        circ)
+
+let entry_findings c ~sha256 (e : Cache.deck_entry) =
+  match Atomic.get e.lint with
+  | Some findings -> findings
+  | None ->
+    let findings = run_lint c ~sha256 e.circ in
+    Atomic.set e.lint (Some findings);
+    findings
+
+(* The [deck] family's key: the fingerprint plus the two parse inputs
+   that are not in the text — file or inline (a file's first line is
+   always its title), and the name that becomes the title when the
+   text has none. *)
+let deck_key ~sha256 origin = sha256 ^ "|deck|" ^ origin
+let file_origin path = "file:" ^ Filename.basename path
+let text_origin name = "text:" ^ name
+
+let parsed c ~origin text parse =
+  let sha256 = Sha256.digest text in
+  let entry, _ =
+    Cache.deck c ~key:(deck_key ~sha256 origin) (fun () ->
+        { Cache.circ = Obs.Span.with_ "parse" parse; lint = Atomic.make None })
+  in
+  (text, sha256, entry)
+
+let load ?cache ?(policy = default_lint_policy) deck =
+  let c = cache_or_global cache in
+  let deck_name =
+    match deck with
+    | Deck_file path -> path
+    | Deck_text { name; _ } | Deck_circuit { name; _ } -> name
+  in
   match
     (match deck with
      | Deck_file path ->
-       let circ =
-         Obs.Span.with_ "parse" (fun () -> Circuit.Parser.parse_file path)
+       (* One read: the bytes fingerprinted are the bytes parsed. *)
+       let text =
+         Circuit.Parser.expand_includes ~base_dir:(Filename.dirname path)
+           (Circuit.Parser.read_file path)
        in
-       let text = In_channel.with_open_bin path In_channel.input_all in
-       (path, text, circ)
+       parsed c ~origin:(file_origin path) text (fun () ->
+           Circuit.Parser.parse_file_text path text)
      | Deck_text { name; text } ->
-       let circ =
-         Obs.Span.with_ "parse" (fun () ->
-             Circuit.Parser.parse_string ~name text)
-       in
-       (name, text, circ)
-     | Deck_circuit { name; circ } ->
+       let text = Circuit.Parser.expand_includes text in
+       parsed c ~origin:(text_origin name) text (fun () ->
+           Circuit.Parser.parse_string ~name text)
+     | Deck_circuit { circ; _ } ->
        (* Fingerprint the in-memory design through its canonical SPICE
           rendering (temperature included), so an OCEAN session's
           repeated runs hit the same cache rows as the CLI on the
-          exported deck. *)
-       (name, Circuit.Netlist.to_spice circ, circ))
+          exported deck. There is nothing to parse, so no [deck]
+          entry: the caller's circuit is the one analyzed. *)
+       let text = Circuit.Netlist.to_spice circ in
+       (text, Sha256.digest text, { Cache.circ; lint = Atomic.make None }))
   with
   | exception Circuit.Parser.Parse_error { line; message } ->
-    let file =
-      match deck with
-      | Deck_file p -> p
-      | Deck_text { name; _ } | Deck_circuit { name; _ } -> name
-    in
     Error
       (Parse_failed
-         { message = Printf.sprintf "%s:%d: %s" file line message })
+         { message = Printf.sprintf "%s:%d: %s" deck_name line message })
   | exception Sys_error m -> Error (Parse_failed { message = m })
-  | deck_name, deck_text, circ ->
+  | deck_text, sha256, entry ->
     let findings =
-      if policy.no_lint then []
-      else Obs.Span.with_ "lint" (fun () -> Lint.Runner.run circ)
+      if policy.no_lint then [] else entry_findings c ~sha256 entry
     in
     if List.exists (blocking policy) findings then
       Error (Lint_blocked { findings })
-    else
-      Ok
-        { deck_name; deck_text; sha256 = Sha256.digest deck_text; circ;
-          findings }
+    else Ok { deck_name; deck_text; sha256; circ = entry.circ; findings }
+
+let lint_findings ?cache loaded =
+  let c = cache_or_global cache in
+  (* [loaded] does not say whether it came from a file or inline text,
+     so both keys are tried; identity confirms the entry is the one
+     [load] parsed this circuit into. *)
+  let mine origin =
+    match
+      Cache.peek_deck c ~key:(deck_key ~sha256:loaded.sha256 origin)
+    with
+    | Some e when e.Cache.circ == loaded.circ -> Some e
+    | _ -> None
+  in
+  match
+    List.find_map mine
+      [ text_origin loaded.deck_name; file_origin loaded.deck_name ]
+  with
+  | Some e -> entry_findings c ~sha256:loaded.sha256 e
+  | None -> run_lint c ~sha256:loaded.sha256 loaded.circ
 
 (* ---- guard: engine exceptions -> failure values ---- *)
 
@@ -146,14 +214,10 @@ let guard loaded f =
 
 (* ---- static signal-flow report (cached per deck + bounds) ---- *)
 
-let bounds_fingerprint (b : Staticanalysis.Cycles.bounds) =
-  Printf.sprintf "len=%d,cycles=%d" b.max_len b.max_cycles
-
 let static_report ?cache ?(bounds = Staticanalysis.Report.default_bounds)
     loaded =
-  let c = match cache with Some c -> c | None -> Cache.global () in
-  let key = loaded.sha256 ^ "|sfg|" ^ bounds_fingerprint bounds in
-  Cache.sfg c ~key (fun () -> Staticanalysis.Report.analyze ~bounds loaded.circ)
+  sfg_report (cache_or_global cache) ~sha256:loaded.sha256 ~bounds
+    loaded.circ
 
 (* ---- manifest emission (the one helper every mode shares) ---- *)
 
@@ -168,7 +232,7 @@ let manifest_of ?cache loaded ~options ~results ~wall_s ~cpu_s =
      it records what the deck's signal-flow graph says regardless of the
      analysis mode, so `acstab diff` can gate on vanished loops. *)
   let lint_json =
-    Lint.Json.report ~file:loaded.deck_name (Lint.Runner.run loaded.circ)
+    Lint.Json.report ~file:loaded.deck_name (lint_findings ?cache loaded)
   in
   let loops = Loops_report.section (fst (static_report ?cache loaded)) in
   Manifest.build ~deck_file:loaded.deck_name ~deck_text:loaded.deck_text
@@ -260,7 +324,7 @@ let manifest_options analysis (o : Stability.Analysis.options) =
   | Auto_nodes -> ("mode", "all-nodes") :: ("nodes", "auto") :: sweep_opts
 
 let analyze_uncached ?cache ~options loaded analysis =
-  let cache = match cache with Some c -> c | None -> Cache.global () in
+  let cache = cache_or_global cache in
   let op_key =
     loaded.sha256 ^ "|op|" ^ dc_fingerprint options.Stability.Analysis.dc_options
   in
@@ -323,7 +387,7 @@ let analyze_uncached ?cache ~options loaded analysis =
 
 let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
     analysis =
-  let c = match cache with Some c -> c | None -> Cache.global () in
+  let c = cache_or_global cache in
   let result_key =
     loaded.sha256 ^ "|" ^ analysis_fingerprint analysis ^ "|"
     ^ options_fingerprint options
@@ -366,7 +430,7 @@ let request ?(options = Stability.Analysis.default_options)
   { deck; analysis; options; policy }
 
 let run ?cache { deck; analysis; options; policy } =
-  match load ~policy deck with
+  match load ?cache ~policy deck with
   | Error f -> Error f
   | Ok loaded ->
     (match analyze ?cache ~options loaded analysis with

@@ -3,21 +3,25 @@
     One code path from deck to results, shared by the CLI subcommands,
     the [acstab serve] daemon and OCEAN sessions:
 
-    {v deck -> load (parse + lint gate) -> analyze (DC op -> plan ->
-       sweep -> peaks) -> results + manifest v}
+    {v deck -> load (fingerprint -> parse + lint -> gate) -> analyze
+       (DC op -> plan -> sweep -> peaks) -> results + manifest v}
 
     Failures are data ({!failure}, with {!exit_code} carrying the CLI's
     exit-code contract) rather than [exit] calls, so a resident server
     can answer a broken request and keep serving.
 
-    [analyze] memoizes through {!Cache}, keyed by the deck's SHA-256
-    fingerprint and the options in force, at three grains: the prepared
-    probe (MNA + DC operating point), the compiled {!Engine.Ac_plan}
-    (the symbolic analysis) and the complete result set with its run
-    manifest. A warm repeat of an identical request performs zero DC
-    solves and zero symbolic analyses; a request that changes only the
-    sweep or the probed nodes still reuses the operating point and the
-    plan. *)
+    Every stage memoizes through {!Cache}, keyed by the deck's SHA-256
+    fingerprint (of its text with every [.include] expanded) and the
+    options in force. [load] keeps the parsed deck and its lint
+    findings ([deck] family) and applies the gate to them on every
+    request; [analyze] keeps the prepared probe (MNA + DC operating
+    point), the compiled {!Engine.Ac_plan} (the symbolic analysis), the
+    compiled kernel and the complete result set with its run manifest;
+    the static signal-flow report has a family of its own. A warm
+    repeat of an identical request runs no parse, no lint pass, no
+    graph build, no DC solve and no symbolic analysis; a request that
+    changes only the sweep or the probed nodes still reuses the
+    operating point and the plan. *)
 
 type deck =
   | Deck_file of string                 (** parse a netlist file *)
@@ -34,8 +38,9 @@ val default_lint_policy : lint_policy
 
 type loaded = {
   deck_name : string;
-  deck_text : string;
-  sha256 : string;              (** deck fingerprint — every cache key's prefix *)
+  deck_text : string;           (** with every [.include] expanded *)
+  sha256 : string;
+      (** fingerprint of [deck_text] — every cache key's prefix *)
   circ : Circuit.Netlist.t;
   findings : Lint.Rule.finding list;
       (** what the gate ran (and the CLI prints); [[]] under [no_lint] *)
@@ -55,9 +60,24 @@ type failure =
 val exit_code : failure -> int
 val failure_message : failure -> string
 
-val load : ?policy:lint_policy -> deck -> (loaded, failure) result
-(** Parse and lint-gate a deck. [Error Lint_blocked] when a finding
-    blocks under [policy] (errors always; warnings under [strict]). *)
+val load :
+  ?cache:Cache.t -> ?policy:lint_policy -> deck -> (loaded, failure) result
+(** Read, fingerprint, parse and lint-gate a deck. A file is read once;
+    its text and an inline deck's have their [.include]s expanded
+    before the fingerprint is taken, so an edited included file is a
+    new fingerprint. Parse and lint run only on a [deck]-family miss in
+    [cache] (default {!Cache.global}); lint runs only when first needed,
+    so a [no_lint] load pays for none. [Error Lint_blocked] when a
+    finding blocks under [policy] (errors always; warnings under
+    [strict]), decided afresh on every call. *)
+
+val lint_findings : ?cache:Cache.t -> loaded -> Lint.Rule.finding list
+(** The deck's lint findings under {!Lint.Runner.default}, whatever the
+    gate [load] applied — what manifests record and the serve [lint]
+    command answers. Read from the [deck] entry [load] filled (computed
+    there once on first need); a deck without one, an OCEAN design
+    say, is linted afresh. Either way the graph-powered rules read the
+    {!static_report}, so linting adds no graph build. *)
 
 val guard : loaded -> (unit -> 'a) -> ('a, failure) result
 (** Run an engine computation, translating its exceptions
@@ -80,9 +100,9 @@ val manifest_of :
   results:Stability.Analysis.node_result list -> wall_s:float ->
   cpu_s:float -> Manifest.t
 (** The single manifest-emission helper: fingerprint, options, results,
-    lint report, structural loops section, telemetry snapshot — used by
-    [analyze] itself, by the run command's crash reports, and by
-    anything else that must record a run. *)
+    lint report ({!lint_findings}), structural loops section, telemetry
+    snapshot — used by [analyze] itself, by the run command's crash
+    reports, and by anything else that must record a run. *)
 
 val cpu_seconds : unit -> float
 (** Process CPU time (user + system), the manifest's [cpu_s] clock. *)

@@ -5,10 +5,10 @@
    socket and a JSON parser is a client (`nc -U` included). Requests
    run through the same {!Pipeline} as the CLI subcommands and share
    one fingerprint-keyed {!Cache}, so a designer's edit loop — analyze,
-   tweak the deck, analyze again — pays for parsing, DC solve and
-   symbolic analysis only when the deck or the options actually
-   changed; an unchanged request is answered from the cache without
-   touching the engine.
+   tweak the deck, analyze again — pays for parsing, linting, DC solve
+   and symbolic analysis only when the deck (or a file it includes) or
+   the options actually changed; an unchanged request is answered from
+   the cache without touching the parser, the linter or the engine.
 
    Concurrency: the accept/read side is a single [select] loop (no
    thread juggling, deterministic shutdown), and each batch of complete
@@ -192,16 +192,17 @@ let handle_analyze cache ?id v =
               ("manifest", mjson) ])))
 
 let handle_lint cache ?id v =
-  ignore cache;
   match deck_of_request v with
   | Error m -> error_response ?id ~code:2 m
   | Ok (deck, file) ->
     (* Lint only: no gate, the findings themselves are the answer. *)
-    (match Pipeline.load ~policy:{ Pipeline.no_lint = true; strict = false }
-             deck with
+    (match
+       Pipeline.load ~cache ~policy:{ Pipeline.no_lint = true; strict = false }
+         deck
+     with
      | Error failure -> failure_response ?id ~file failure
      | Ok loaded ->
-       let findings = Lint.Runner.run loaded.Pipeline.circ in
+       let findings = Pipeline.lint_findings ~cache loaded in
        let report =
          match Json.of_string (Lint.Json.report ~file findings) with
          | Ok j -> j
@@ -218,7 +219,8 @@ let handle_loops cache ?id v =
   | Ok (deck, file) ->
     (* Like lint: the report is itself a static diagnostic, no gate. *)
     (match
-       Pipeline.load ~policy:{ Pipeline.no_lint = true; strict = false } deck
+       Pipeline.load ~cache ~policy:{ Pipeline.no_lint = true; strict = false }
+         deck
      with
      | Error failure -> failure_response ?id ~file failure
      | Ok loaded ->

@@ -1,0 +1,167 @@
+(* @serve-fault — inputs that used to kill the daemon or fool its cache,
+   driven against a live `acstab serve` and, where the CLI shares the
+   path, against the CLI binary given as the first argument:
+
+   - a deck that includes itself answers a code-2 parse error naming
+     the offending line, and the daemon still answers a ping afterwards
+     (the unbounded nesting once escaped as an uncaught Failure and
+     ended the daemon);
+   - editing a file that a deck includes is a cache miss whose answer
+     carries the new natural frequency (the fingerprint once covered
+     only the top-level text, so the stale answer came back as a hit);
+   - `acstab all-nodes` and `acstab lint` exit 2 on the self-including
+     deck, with no uncaught-exception report. *)
+
+let acstab =
+  if Array.length Sys.argv < 2 then begin
+    prerr_endline "usage: serve_fault ACSTAB_EXE";
+    exit 2
+  end
+  else Sys.argv.(1)
+
+let dir =
+  let d = Filename.temp_file "acstab-fault" "" in
+  Sys.remove d;
+  Unix.mkdir d 0o755;
+  d
+
+let path name = Filename.concat dir name
+let sock = path "serve.sock"
+
+let write name text =
+  Out_channel.with_open_bin (path name) (fun oc -> output_string oc text)
+
+let cleanup () =
+  Array.iter
+    (fun f -> try Sys.remove (path f) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||]);
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("serve-fault: FAIL: " ^ m);
+      cleanup ();
+      exit 1)
+    fmt
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let str s = Tool.Json.Str s
+
+(* circuits/rlc_tank.sp split in two: R1 stays in the main deck, the
+   reactive parts move to an included file. *)
+let tank_parts l = Printf.sprintf "L1 n 0 %s\nC1 n 0 1n\n" l
+
+let () =
+  write "loop.sp"
+    "self-including deck\n.include \"loop.sp\"\nR1 a 0 1k\n.end\n";
+  write "main.sp"
+    "parallel RLC tank, parts included\nR1 n 0 100\n\
+     .include \"tank_parts.sp\"\n.end\n";
+  write "tank_parts.sp" (tank_parts "1u");
+  let server =
+    Thread.create (fun () -> Tool.Server.serve ~socket:sock ()) ()
+  in
+  let rec wait_for_socket n =
+    if n = 0 then fail "daemon socket never appeared"
+    else if not (Sys.file_exists sock) then begin
+      Unix.sleepf 0.05;
+      wait_for_socket (n - 1)
+    end
+  in
+  wait_for_socket 200;
+  let c = Tool.Server.Client.connect sock in
+  let request fields =
+    try Tool.Server.Client.request c (Tool.Json.Obj fields)
+    with Failure m -> fail "daemon gone: %s" m
+  in
+  let ping () =
+    match Tool.Json.mem_bool "pong" (request [ ("cmd", str "ping") ]) with
+    | Some true -> ()
+    | _ -> fail "ping not answered"
+  in
+
+  (* The self-including deck, through every command that loads a deck. *)
+  List.iter
+    (fun cmd ->
+      let r = request [ ("cmd", str cmd); ("deck", str (path "loop.sp")) ] in
+      let error = Tool.Json.member "error" r in
+      (match Option.bind error (Tool.Json.mem_int "code") with
+       | Some 2 -> ()
+       | _ ->
+         fail "%s on a self-including deck: %s" cmd (Tool.Json.to_string r));
+      let message =
+        Option.value ~default:"" (Option.bind error (Tool.Json.mem_str "message"))
+      in
+      if not (contains message "loop.sp:2:") then
+        fail "%s error does not name the .include line: %s" cmd message;
+      ping ())
+    [ "analyze"; "lint"; "loops" ];
+
+  (* The included-file edit. *)
+  let analyze () =
+    let r =
+      request
+        [ ("cmd", str "analyze"); ("mode", str "single-node");
+          ("node", str "n"); ("deck", str (path "main.sp")) ]
+    in
+    match Option.bind (Tool.Json.member "nodes" r) Tool.Json.to_list with
+    | Some [ node ] ->
+      (match
+         ( Tool.Json.mem_str "cache" r,
+           Tool.Json.mem_float "f_n" node,
+           Tool.Json.mem_float "zeta" node )
+       with
+       | Some verdict, Some fn, Some zeta -> (verdict, fn, zeta)
+       | _ -> fail "no dominant peak at n: %s" (Tool.Json.to_string r))
+    | _ -> fail "analyze failed: %s" (Tool.Json.to_string r)
+  in
+  let expect what (verdict, fn, zeta) (verdict', fn', zeta') =
+    let close a b = Float.abs (a -. b) <= 1e-2 *. Float.abs b in
+    if verdict <> verdict' || not (close fn fn') || not (close zeta zeta')
+    then
+      fail "%s: got cache=%s f_n=%.4g zeta=%.4g, wanted cache=%s f_n=%.4g \
+            zeta=%.4g"
+        what verdict fn zeta verdict' fn' zeta'
+  in
+  expect "cold split tank" (analyze ()) ("miss", 5.033e6, 0.158);
+  expect "warm split tank" (analyze ()) ("hit", 5.033e6, 0.158);
+  write "tank_parts.sp" (tank_parts "4u");
+  expect "after editing the included part" (analyze ())
+    ("miss", 2.516e6, 0.316);
+
+  ignore (request [ ("cmd", str "shutdown") ]);
+  Tool.Server.Client.close c;
+  Thread.join server;
+
+  (* The CLI on the self-including deck. *)
+  List.iter
+    (fun cmd ->
+      let err = path "cli.err" in
+      let fd =
+        Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+      in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process acstab [| acstab; cmd; path "loop.sp" |]
+          Unix.stdin devnull fd
+      in
+      Unix.close fd;
+      Unix.close devnull;
+      let status = snd (Unix.waitpid [] pid) in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      match status with
+      | Unix.WEXITED 2 when not (contains stderr "uncaught") -> ()
+      | Unix.WEXITED n -> fail "acstab %s exited %d: %s" cmd n stderr
+      | _ -> fail "acstab %s was killed" cmd)
+    [ "all-nodes"; "lint" ];
+  cleanup ();
+  print_endline
+    "serve-fault: OK (self-including deck answered code 2 by \
+     analyze/lint/loops with the daemon still serving, included-file edit \
+     re-analyzed as a miss with the new f_n, CLI exits 2 on the \
+     self-including deck)"

@@ -2,11 +2,12 @@
 
    Starts the daemon on a private socket, then over the wire: a cold
    all-nodes request, a warm repeat that must be answered from the
-   cache with byte-identical results and zero extra DC solves / zero
-   extra symbolic analyses (asserted from the Obs counters via the
-   protocol's own `counters` command), four concurrent in-flight
-   requests on four connections, and a clean shutdown that removes the
-   socket file. *)
+   cache with byte-identical results, one deck-family hit and zero
+   extra graph builds / DC solves / symbolic analyses (asserted from
+   the Obs counters via the protocol's own `counters` command), the
+   lint gate re-applied to memoized findings, four concurrent
+   in-flight requests on four connections, and a clean shutdown that
+   removes the socket file. *)
 
 let sock =
   Filename.concat
@@ -84,17 +85,27 @@ let () =
   expect_ok cold;
   expect_cache "miss" cold;
 
-  (* Warm repeat: a hit, byte-identical, zero re-solves. *)
+  (* Warm repeat: a hit, byte-identical, zero re-solves, and the deck
+     itself served from the deck family — no parse, no lint pass, no
+     graph build. *)
   let dc0 = counter c "dcop.solves"
-  and sym0 = counter c "acplan.symbolic" in
+  and sym0 = counter c "acplan.symbolic"
+  and sfg0 = counter c "sfg.builds"
+  and deck0 = counter c "cache.deck.hits" in
   let warm = Tool.Server.Client.request c all_nodes in
   expect_ok warm;
   expect_cache "hit" warm;
   let dc1 = counter c "dcop.solves"
-  and sym1 = counter c "acplan.symbolic" in
+  and sym1 = counter c "acplan.symbolic"
+  and sfg1 = counter c "sfg.builds"
+  and deck1 = counter c "cache.deck.hits" in
   if dc1 <> dc0 then fail "warm request re-solved DC (%d -> %d)" dc0 dc1;
   if sym1 <> sym0 then
     fail "warm request re-ran symbolic analysis (%d -> %d)" sym0 sym1;
+  if sfg1 <> sfg0 then
+    fail "warm request rebuilt the signal-flow graph (%d -> %d)" sfg0 sfg1;
+  if deck1 <> deck0 + 1 then
+    fail "warm request made %d deck-family hits, wanted 1" (deck1 - deck0);
   List.iter
     (fun field ->
       let bytes j = Tool.Json.to_string (mem field j) in
@@ -247,6 +258,60 @@ let () =
      fail "bogus backend error code %d, wanted the usage code 2"
        (Option.value ~default:(-1) cd));
 
+  (* The lint gate runs on memoized findings: a deck with one lint
+     warning passes non-strict, and re-sent with "strict" it blocks
+     with code 4 and the same findings as a cold strict request; under
+     "no_lint" nothing is gated or reported, while the manifest still
+     records the warning. *)
+  let warn_text =
+    "warn tank\nR1 n 0 100\nL1 n 0 1u\nC1 n 0 1n\nR2 n m 1k\n\
+     C2 m 0 0.5\n.end\n"
+  in
+  let warn_req ?(extra = []) text =
+    Tool.Json.Obj
+      ([ ("cmd", Tool.Json.Str "analyze");
+         ("mode", Tool.Json.Str "single-node");
+         ("node", Tool.Json.Str "n");
+         ("deck_text", Tool.Json.Str text);
+         ("name", Tool.Json.Str "warn.sp") ]
+       @ extra)
+  in
+  let strict = [ ("strict", Tool.Json.Bool true) ] in
+  let blocked j =
+    match
+      Option.bind (Tool.Json.member "error" j) (Tool.Json.mem_int "code")
+    with
+    | Some 4 -> Tool.Json.to_string (mem "findings" (mem "error" j))
+    | _ -> fail "expected a code-4 lint block: %s" (Tool.Json.to_string j)
+  in
+  let lax = Tool.Server.Client.request c (warn_req warn_text) in
+  expect_ok lax;
+  let warm_strict =
+    blocked (Tool.Server.Client.request c (warn_req ~extra:strict warn_text))
+  in
+  let cold_strict =
+    blocked
+      (Tool.Server.Client.request c
+         (warn_req ~extra:strict (warn_text ^ "* a new text, linted cold\n")))
+  in
+  if warm_strict <> cold_strict then
+    fail "memoized strict findings %s differ from cold %s" warm_strict
+      cold_strict;
+  let quiet =
+    Tool.Server.Client.request c
+      (warn_req ~extra:(("no_lint", Tool.Json.Bool true) :: strict) warn_text)
+  in
+  expect_ok quiet;
+  if Tool.Json.member "error" quiet <> None then
+    fail "no_lint request reported findings: %s" (Tool.Json.to_string quiet);
+  (match
+     Option.bind
+       (Tool.Json.member "lint" (mem "manifest" quiet))
+       (Tool.Json.mem_int "warnings")
+   with
+   | Some 1 -> ()
+   | _ -> fail "manifest lint section lost the warning under no_lint");
+
   (* stats: every cache family reports occupancy next to its traffic. *)
   let stats =
     Tool.Server.Client.request c
@@ -264,7 +329,7 @@ let () =
             if Tool.Json.mem_int field f = None then
               fail "stats %s family lacks %S" fam field)
           [ "entries"; "capacity"; "hits"; "misses"; "evictions" ])
-    [ "op"; "plan"; "kernel"; "result"; "sfg" ];
+    [ "deck"; "op"; "plan"; "kernel"; "result"; "sfg" ];
   (match Option.bind (Tool.Json.member "kernel" cache_stats)
            (Tool.Json.mem_int "entries") with
    | Some n when n >= 1 -> ()
@@ -331,8 +396,9 @@ let () =
   if Sys.file_exists stale then fail "stale socket path survived shutdown";
 
   print_endline
-    "serve-smoke: OK (cold miss, warm hit byte-identical with 0 DC \
-     re-solves and 0 symbolic re-analyses, 4 concurrent in-flight \
+    "serve-smoke: OK (cold miss, warm hit byte-identical with 1 deck \
+     hit, 0 graph builds, 0 DC re-solves and 0 symbolic re-analyses, \
+     lint gate on memoized findings, 4 concurrent in-flight \
      requests, loops cold/warm with 0 graph rebuilds, nodes=auto cover \
      run, kernel backend cold/warm with 0 recompiles and plan-identical \
      bytes, per-family cache stats, live-socket refusal, stale-socket \

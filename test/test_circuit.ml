@@ -252,6 +252,42 @@ let test_parse_include () =
   Alcotest.(check bool) "included device present" true
     (Netlist.find_device c "R9" <> None)
 
+(* Expansion is callable alone and safe: include-free text comes back
+   byte-identical (so a deck's fingerprint is unchanged), and a file
+   that includes itself or a missing file is a Parse_error at the
+   top-level line that started the chain, never an uncaught Failure. *)
+let test_expand_includes () =
+  let dir = Filename.temp_file "incx" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc text)
+  in
+  let plain = "title\r\nR1 a 0 1k\n\n  * note\nC1 a 0 1p\n.end" in
+  Alcotest.(check string) "include-free text unchanged" plain
+    (Parser.expand_includes ~base_dir:dir plain);
+  write "loop.sp" "loop\n.include \"loop.sp\"\nR1 a 0 1k\n";
+  write "mid.inc" "* mid\n.include loop.sp\n";
+  let expect_line name line text =
+    match Parser.expand_includes ~base_dir:dir text with
+    | _ -> Alcotest.failf "%s: expansion should fail" name
+    | exception Parser.Parse_error { line = l; _ } ->
+      Alcotest.(check int) (name ^ ": top-level line") line l
+  in
+  expect_line "self include" 2 "loop\n.include \"loop.sp\"\nR1 a 0 1k\n";
+  expect_line "chain through a file" 3
+    "top\nR1 a 0 1k\n.INCLUDE mid.inc\n.end\n";
+  expect_line "missing file" 2 "top\n.include nosuch.inc\n";
+  (match
+     Parser.parse_file_text (Filename.concat dir "loop.sp")
+       "loop\n.include \"loop.sp\"\n"
+   with
+   | _ -> Alcotest.fail "parse of a self-including deck should fail"
+   | exception Parser.Parse_error { line = 2; _ } -> ());
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "loop.sp"; "mid.inc" ];
+  Unix.rmdir dir
+
 (* ---------- topology ---------- *)
 
 let test_topology_checks () =
@@ -433,7 +469,9 @@ let () =
          Alcotest.test_case "K mutual card" `Quick test_parse_mutual;
          Alcotest.test_case "resistor TC" `Quick test_resistor_tc;
          Alcotest.test_case ".options card" `Quick test_parse_options;
-         Alcotest.test_case ".include" `Quick test_parse_include ]);
+         Alcotest.test_case ".include" `Quick test_parse_include;
+         Alcotest.test_case ".include expansion" `Quick
+           test_expand_includes ]);
       ( "parser-props",
         List.map QCheck_alcotest.to_alcotest [ prop_parser_total ] );
       ("decks",

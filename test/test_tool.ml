@@ -757,6 +757,136 @@ let test_cache_eviction () =
   Tool.Cache.clear c;
   Alcotest.(check bool) "clear forgets" false (get "c")
 
+let family_stat cache name =
+  match
+    List.find_opt
+      (fun (s : Tool.Cache.family_stats) -> s.family = name)
+      (Tool.Cache.stats cache)
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "%s family missing from stats" name
+
+(* A deck with one lint warning (a farad-scale capacitor) that still
+   analyzes. *)
+let warn_text =
+  "warn tank\nR1 n 0 100\nL1 n 0 1u\nC1 n 0 1n\nR2 n m 1k\nC2 m 0 0.5\n.end\n"
+
+(* The deck family: a second load of the same text is a hit that parses
+   and lints nothing, an edited text is a miss, and the gate is applied
+   afresh to the memoized findings on every load. *)
+let test_pipeline_deck_family () =
+  let cache = Tool.Cache.create () in
+  let load ?policy text =
+    Tool.Pipeline.load ~cache ?policy
+      (Tool.Pipeline.Deck_text { name = "warn.sp"; text })
+  in
+  let ok = function
+    | Ok l -> l
+    | Error f ->
+      Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
+  in
+  let hits () = counter_value "cache.deck.hits"
+  and misses () = counter_value "cache.deck.misses" in
+  let h0 = hits () and m0 = misses () in
+  let builds0 = counter_value "sfg.builds" in
+  let l1 = ok (load warn_text) in
+  Alcotest.(check int) "first load is a deck miss" (m0 + 1) (misses ());
+  (* One graph build per cold request: lint, the manifest's lint report
+     and its loops section all read the one sfg entry. *)
+  ignore
+    (Tool.Pipeline.analyze_exn ~cache ~options:quick_options l1
+       (Tool.Pipeline.Single_node "n"));
+  Alcotest.(check int) "cold load + analyze build the graph once"
+    (builds0 + 1) (counter_value "sfg.builds");
+  Alcotest.(check (list string)) "the gate saw the warning"
+    [ "suspicious-value" ]
+    (List.map (fun (f : Lint.Rule.finding) -> f.rule_id)
+       l1.Tool.Pipeline.findings);
+  let builds = counter_value "sfg.builds" in
+  let l2 = ok (load warn_text) in
+  Alcotest.(check int) "second load is a deck hit" (h0 + 1) (hits ());
+  Alcotest.(check int) "... and no further miss" (m0 + 1) (misses ());
+  Alcotest.(check bool) "hit reuses the parsed circuit" true
+    (l1.Tool.Pipeline.circ == l2.Tool.Pipeline.circ);
+  Alcotest.(check int) "hit builds no graph" builds
+    (counter_value "sfg.builds");
+  Alcotest.(check int) "deck family holds one entry" 1
+    (family_stat cache "deck").Tool.Cache.entries;
+  (* The gate is re-applied to the memoized findings. *)
+  (match
+     load ~policy:{ Tool.Pipeline.no_lint = false; strict = true } warn_text
+   with
+   | Error (Tool.Pipeline.Lint_blocked { findings }) ->
+     Alcotest.(check int) "strict re-send blocks on the warning" 1
+       (List.length findings)
+   | _ -> Alcotest.fail "strict load of a warning deck should block");
+  let quiet =
+    ok (load ~policy:{ Tool.Pipeline.no_lint = true; strict = true } warn_text)
+  in
+  Alcotest.(check int) "no_lint reports no findings" 0
+    (List.length quiet.Tool.Pipeline.findings);
+  Alcotest.(check int) "manifests still see the warning" 1
+    (List.length (Tool.Pipeline.lint_findings ~cache quiet));
+  (* An edit is a new fingerprint: a miss. *)
+  let m1 = misses () in
+  let edited = ok (load (warn_text ^ "* edited\n")) in
+  Alcotest.(check int) "edited text is a deck miss" (m1 + 1) (misses ());
+  Alcotest.(check bool) "edited text fingerprints differently" true
+    (edited.Tool.Pipeline.sha256 <> l1.Tool.Pipeline.sha256)
+
+(* The fingerprint covers included files: editing only the included
+   part is a new fingerprint (so a miss in every family, whose keys all
+   start from it), and an include-free file keeps the digest
+   `sha256sum` prints. *)
+let test_pipeline_include_fingerprint () =
+  let dir = Filename.temp_file "incfp" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc text)
+  in
+  let main = Filename.concat dir "main.sp" in
+  write "main.sp"
+    "split tank\n.include \"tank_parts.sp\"\nR1 n 0 100\n.end\n";
+  write "tank_parts.sp" "L1 n 0 1u\nC1 n 0 1n\n";
+  let cache = Tool.Cache.create () in
+  let load () =
+    match
+      Tool.Pipeline.load ~cache
+        ~policy:{ Tool.Pipeline.no_lint = true; strict = false }
+        (Tool.Pipeline.Deck_file main)
+    with
+    | Ok l -> l
+    | Error f ->
+      Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
+  in
+  let inductance (l : Tool.Pipeline.loaded) =
+    match Circuit.Netlist.find_device l.circ "L1" with
+    | Some (Circuit.Netlist.Inductor { l; _ }) -> l
+    | _ -> Alcotest.fail "L1 missing"
+  in
+  let a = load () in
+  write "tank_parts.sp" "L1 n 0 4u\nC1 n 0 1n\n";
+  let b = load () in
+  Alcotest.(check bool) "included edit changes the fingerprint" true
+    (a.Tool.Pipeline.sha256 <> b.Tool.Pipeline.sha256);
+  check_close "edited inductor parsed" 4e-6 (inductance b);
+  Alcotest.(check bool) "deck text is the expanded text" true
+    (contains b.Tool.Pipeline.deck_text "L1 n 0 4u");
+  List.iter
+    (fun f -> Sys.remove (Filename.concat dir f))
+    [ "main.sp"; "tank_parts.sp" ];
+  Unix.rmdir dir;
+  let tank = "../circuits/rlc_tank.sp" in
+  match Tool.Pipeline.load ~cache (Tool.Pipeline.Deck_file tank) with
+  | Ok l ->
+    Alcotest.(check string) "include-free deck: digest of its bytes"
+      (Tool.Sha256.digest (In_channel.with_open_bin tank In_channel.input_all))
+      l.Tool.Pipeline.sha256
+  | Error f ->
+    Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
+
 (* Pipeline failures are values carrying the CLI exit-code contract. *)
 let test_pipeline_failures () =
   (match
@@ -866,7 +996,10 @@ let () =
            test_pipeline_cache_keys;
          Alcotest.test_case "kernel family warm reuse" `Quick
            test_pipeline_kernel_warm;
-         Alcotest.test_case "LRU eviction" `Quick test_cache_eviction ]);
+         Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
+         Alcotest.test_case "deck family" `Quick test_pipeline_deck_family;
+         Alcotest.test_case "fingerprint covers includes" `Quick
+           test_pipeline_include_fingerprint ]);
       ("pipeline",
        [ Alcotest.test_case "failures as values" `Quick
            test_pipeline_failures ]) ]
