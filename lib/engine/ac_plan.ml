@@ -176,7 +176,7 @@ let compile ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op mna =
   Obs.Counter.incr n_symbolic;
   let plan = { size; colptr; rowidx; gvals; cvals; sym } in
   Obs.Span.leave "acplan.compile"
-    ~args:[ ("unknowns", size); ("nnz", n) ]
+    ~args:[ ("unknowns", size); ("nnz", n); ("fill", Scmat.fill sym) ]
     t_compile;
   plan
 

@@ -36,6 +36,7 @@ type t = {
   cvals : float array;
   (* flattened elimination schedule *)
   rowperm : int array;     (* pivot position -> original row *)
+  q : int array;           (* step -> original column (and unknown) *)
   l_ptr : int array;       (* L columns, keyed by pivot column *)
   l_idx : int array;       (* original row indices *)
   u_ptr : int array;       (* U columns: deps ascending, diagonal last *)
@@ -105,7 +106,7 @@ let compile plan =
   Obs.Counter.incr n_compiles;
   let k =
     { plan; n; colptr; rowidx; gvals; cvals; rowperm;
-      l_ptr; l_idx; u_ptr; u_col; u_row; lnnz; unnz }
+      q = sch.Scmat.sched_q; l_ptr; l_idx; u_ptr; u_col; u_row; lnnz; unnz }
   in
   Obs.Span.leave "kernel.compile"
     ~args:[ ("unknowns", n); ("lnnz", lnnz); ("unnz", unnz) ]
@@ -180,7 +181,7 @@ exception Stale
 let factor ws ~omega =
   let k = ws.k in
   let n = k.n in
-  let colptr = k.colptr and rowidx = k.rowidx in
+  let colptr = k.colptr and rowidx = k.rowidx and q = k.q in
   let gvals = k.gvals and cvals = k.cvals in
   let l_ptr = k.l_ptr and l_idx = k.l_idx in
   let u_ptr = k.u_ptr and u_col = k.u_col and u_row = k.u_row in
@@ -189,8 +190,9 @@ let factor ws ~omega =
   let u_vre = ws.u_vre and u_vim = ws.u_vim in
   try
     for j = 0 to n - 1 do
-      (* Scatter A(:,j) = G(:,j) + jw C(:,j). *)
-      for p = colptr.(j) to colptr.(j + 1) - 1 do
+      (* Scatter A(:,c) = G(:,c) + jw C(:,c), c the step's column. *)
+      let c = q.(j) in
+      for p = colptr.(c) to colptr.(c + 1) - 1 do
         let r = Array.unsafe_get rowidx p in
         Array.unsafe_set x_re r (Array.unsafe_get gvals p);
         Array.unsafe_set x_im r (omega *. Array.unsafe_get cvals p)
@@ -272,7 +274,7 @@ let factor ws ~omega =
 let solve_batch ws =
   let k = ws.k in
   let n = k.n and m = ws.m in
-  let rowperm = k.rowperm in
+  let rowperm = k.rowperm and q = k.q in
   let l_ptr = k.l_ptr and l_idx = k.l_idx in
   let u_ptr = k.u_ptr and u_row = k.u_row in
   let l_vre = ws.l_vre and l_vim = ws.l_vim in
@@ -304,13 +306,14 @@ let solve_batch ws =
     done
   done;
   (* Backward on U (diagonal stored last, entries keyed by pivot
-     position through u_row). *)
+     position through u_row); step kc solves for unknown q.(kc). *)
   for kc = n - 1 downto 0 do
     let u0 = Array.unsafe_get u_ptr kc in
     let u1 = Array.unsafe_get u_ptr (kc + 1) in
     let dre = Array.unsafe_get u_vre (u1 - 1) in
     let dim = Array.unsafe_get u_vim (u1 - 1) in
     let pr = Array.unsafe_get rowperm kc in
+    let qk = Array.unsafe_get q kc in
     if m > 1 then begin
       (* One reciprocal per column amortised over the batch. *)
       cdiv ws 1. 0. dre dim;
@@ -322,8 +325,8 @@ let solve_batch ws =
         let wim = Array.unsafe_get w_im pr in
         let xkre = (wre *. idre) -. (wim *. idim) in
         let xkim = (wre *. idim) +. (wim *. idre) in
-        (Array.unsafe_get ws.s_re s).(kc) <- xkre;
-        (Array.unsafe_get ws.s_im s).(kc) <- xkim;
+        (Array.unsafe_get ws.s_re s).(qk) <- xkre;
+        (Array.unsafe_get ws.s_im s).(qk) <- xkim;
         if not (xkre = 0. && xkim = 0.) then
           for q = u0 to u1 - 2 do
             let i = Array.unsafe_get u_row q in
@@ -340,8 +343,8 @@ let solve_batch ws =
       let w_re = ws.w_re.(0) and w_im = ws.w_im.(0) in
       cdiv ws (Array.unsafe_get w_re pr) (Array.unsafe_get w_im pr) dre dim;
       let xkre = ws.q.(0) and xkim = ws.q.(1) in
-      ws.s_re.(0).(kc) <- xkre;
-      ws.s_im.(0).(kc) <- xkim;
+      ws.s_re.(0).(qk) <- xkre;
+      ws.s_im.(0).(qk) <- xkim;
       if not (xkre = 0. && xkim = 0.) then
         for q = u0 to u1 - 2 do
           let i = Array.unsafe_get u_row q in

@@ -3,11 +3,12 @@
     {!Ac_plan} amortises the symbolic analysis but still interprets the
     sparse factorisation point by point — per-point column buffers, a
     boxed value array, bounds-checked pattern walks, per-RHS copies.
-    {!compile} flattens one plan's frozen elimination schedule (pivot
-    order, fill pattern, update order) into preallocated index arrays
-    once per circuit; every frequency point then runs a straight-line,
-    allocation-free factor/solve program over unboxed float planes, and
-    {!run} batches whole chunks of the sweep through one workspace.
+    {!compile} flattens one plan's frozen elimination schedule (column
+    order, pivot order, fill pattern, update order) into preallocated
+    index arrays once per circuit; every frequency point then runs a
+    straight-line, allocation-free factor/solve program over unboxed
+    float planes, and {!run} batches whole chunks of the sweep through
+    one workspace.
 
     The kernel is bit-identical to the [`Plan] backend: it replays the
     exact float operation sequence of [Scmat.refactor] and the batched

@@ -8,12 +8,92 @@
     circuit matrices — a handful of entries per row — factor in near-linear
     time where the dense code pays O(n^3).
 
+    Columns are eliminated in a fill-reducing order: plain minimum degree
+    on the pattern of A + A^T, computed by every pivoting factorisation.
+    The factors satisfy P A Q = L U, where row pivoting (P) is by largest
+    magnitude and Q is the column order; rows keep their original names,
+    and the solves undo Q, so callers see natural-order solutions.
+
     The engine keeps dense LU for everyday circuits (tens of unknowns, see
     DESIGN.md section 6) and switches to this backend when the all-nodes
     scan meets boards with hundreds of nets. *)
 
 exception Singular of int
-(** No acceptable pivot in the given column. *)
+(** No acceptable pivot in the given (original) column. *)
+
+module Iset = Set.Make (Int)
+
+(* Minimum-degree order of the symmetric pattern of A + A^T (diagonal
+   ignored), on an explicit elimination graph: repeatedly eliminate the
+   node of least current degree, ties to the lowest index, and join its
+   neighbours into a clique. [order.(j)] is the original column
+   eliminated at step j. Deterministic, so repeated factorisations of a
+   pattern (and seq/par sweeps) agree bit for bit. *)
+let min_degree ~n ~colptr ~rowidx =
+  let adj = Array.make n [||] and deg = Array.make n 0 in
+  let push v w =
+    let d = deg.(v) in
+    if d = Array.length adj.(v) then begin
+      let g = Array.make (Int.max 4 (2 * d)) 0 in
+      Array.blit adj.(v) 0 g 0 d;
+      adj.(v) <- g
+    end;
+    adj.(v).(d) <- w;
+    deg.(v) <- d + 1
+  in
+  for j = 0 to n - 1 do
+    for p = colptr.(j) to colptr.(j + 1) - 1 do
+      let i = rowidx.(p) in
+      if i <> j then begin
+        push i j;
+        push j i
+      end
+    done
+  done;
+  (* Filter v's list in place to the entries [keep] accepts, stamping
+     each survivor w with [seen.(w) = !tick], a stamp fresh per call. *)
+  let seen = Array.make n (-1) and tick = ref 0 in
+  let filter v keep =
+    incr tick;
+    let a = adj.(v) and k = ref 0 in
+    for t = 0 to deg.(v) - 1 do
+      let w = a.(t) in
+      if keep w then begin
+        seen.(w) <- !tick;
+        a.(!k) <- w;
+        incr k
+      end
+    done;
+    deg.(v) <- !k
+  in
+  for v = 0 to n - 1 do
+    filter v (fun w -> seen.(w) <> !tick)  (* drop duplicates *)
+  done;
+  (* Queue keys deg * n + v: least degree first, then lowest index. *)
+  let key v = (deg.(v) * n) + v in
+  let queue = ref Iset.empty in
+  for v = 0 to n - 1 do
+    queue := Iset.add (key v) !queue
+  done;
+  let order = Array.make n 0 in
+  for step = 0 to n - 1 do
+    let k = Iset.min_elt !queue in
+    queue := Iset.remove k !queue;
+    let v = k mod n in
+    order.(step) <- v;
+    let nv = Array.sub adj.(v) 0 deg.(v) in
+    Array.iter
+      (fun u ->
+        queue := Iset.remove (key u) !queue;
+        (* Drop v from u's list, then add v's other neighbours. *)
+        filter u (fun w -> w <> v);
+        Array.iter
+          (fun w -> if w <> u && seen.(w) <> !tick then push u w)
+          nv;
+        queue := Iset.add (key u) !queue)
+      nv
+  done;
+  order
 
 module Make (F : Field.S) = struct
   type elt = F.t
@@ -139,16 +219,20 @@ module Make (F : Field.S) = struct
     pinv : int array;        (* pinv.(orig_row) = pivot position, or -1
                                 during factorisation *)
     rowperm : int array;     (* rowperm.(pivot_pos) = original row *)
+    q : int array;           (* q.(step) = original column eliminated *)
   }
 
-  (* Left-looking LU with partial pivoting. Rows are renamed lazily:
-     pinv.(r) is the pivot position assigned to original row r, or -1.
-     With [keep_zeros] every structurally reachable entry is stored even
-     when its value is exactly zero — that closure is the frequency-
-     independent symbolic pattern the refactorisation path relies on. *)
+  (* Left-looking LU with partial pivoting, columns in minimum-degree
+     order: step j eliminates original column q.(j). Rows are renamed
+     lazily: pinv.(r) is the pivot position assigned to original row r,
+     or -1. With [keep_zeros] every structurally reachable entry is
+     stored even when its value is exactly zero — that closure is the
+     frequency-independent symbolic pattern the refactorisation path
+     relies on. *)
   let lu_factor_gen ~keep_zeros a =
     if a.rows <> a.cols then invalid_arg "Sparse.lu_factor: square required";
     let n = a.rows in
+    let q = min_degree ~n ~colptr:a.colptr ~rowidx:a.rowidx in
     let l_cols = Array.init n (fun _ -> colbuf_make ()) in
     let u_cols = Array.init n (fun _ -> colbuf_make ()) in
     let pinv = Array.make n (-1) in
@@ -157,16 +241,17 @@ module Make (F : Field.S) = struct
     let mark = Array.make n (-1) in
     let order = Array.make n 0 in   (* DFS postorder of the pattern *)
     (* Iterative DFS over the pattern of L (in permuted row names):
-       starting from the rows of A(:,j); an entry whose row r is already
-       pivotal (pinv.(r) = k >= 0) depends on column k of L. *)
-    let dfs j =
+       starting from the rows of A(:,c); an entry whose row r is already
+       pivotal (pinv.(r) = k >= 0) depends on column k of L. Visits are
+       stamped with c, which no other step shares. *)
+    let dfs c =
       let norder = ref 0 in
-      for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      for p = a.colptr.(c) to a.colptr.(c + 1) - 1 do
         let r0 = a.rowidx.(p) in
-        if mark.(r0) <> j then begin
+        if mark.(r0) <> c then begin
           (* Explicit DFS with a frontier stack of (row, next-child). *)
           let frontier = ref [ (r0, 0) ] in
-          mark.(r0) <- j;
+          mark.(r0) <- c;
           while !frontier <> [] do
             match !frontier with
             | [] -> ()
@@ -183,8 +268,8 @@ module Make (F : Field.S) = struct
                 if child < lc.len then begin
                   frontier := (r, child + 1) :: rest;
                   let rc = lc.idx.(child) in
-                  if mark.(rc) <> j then begin
-                    mark.(rc) <- j;
+                  if mark.(rc) <> c then begin
+                    mark.(rc) <- c;
                     frontier := (rc, 0) :: !frontier
                   end
                 end
@@ -201,10 +286,11 @@ module Make (F : Field.S) = struct
       !norder
     in
     for j = 0 to n - 1 do
+      let c = q.(j) in
       (* Symbolic: reachable pattern in topological (reverse post) order. *)
-      let norder = dfs j in
-      (* Numeric scatter of A(:,j). *)
-      for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      let norder = dfs c in
+      (* Numeric scatter of A(:,c). *)
+      for p = a.colptr.(c) to a.colptr.(c + 1) - 1 do
         x.(a.rowidx.(p)) <- a.values.(p)
       done;
       (* Eliminate in topological order: process pivotal rows from the
@@ -237,7 +323,7 @@ module Make (F : Field.S) = struct
         end
       done;
       if !pivot_row < 0 || !pivot_mag = 0. || not (Float.is_finite !pivot_mag)
-      then raise (Singular j);
+      then raise (Singular c);
       let pr = !pivot_row in
       let pv = x.(pr) in
       pinv.(pr) <- j;
@@ -266,7 +352,7 @@ module Make (F : Field.S) = struct
     done;
     let rowperm = Array.make n 0 in
     Array.iteri (fun r k -> rowperm.(k) <- r) pinv;
-    { n; l_cols; u_cols; pinv; rowperm }
+    { n; l_cols; u_cols; pinv; rowperm; q }
 
   let lu_factor a = lu_factor_gen ~keep_zeros:false a
 
@@ -287,6 +373,7 @@ module Make (F : Field.S) = struct
     sym_n : int;
     sym_pinv : int array;
     sym_rowperm : int array;
+    sym_q : int array;        (* step -> original column *)
     l_pat : int array array;  (* per pivot column: original row indices *)
     u_pat : int array array;  (* per column: pivot positions ascending,
                                  diagonal (j itself) last *)
@@ -306,8 +393,13 @@ module Make (F : Field.S) = struct
         f.u_cols
     in
     ( { sym_n = f.n; sym_pinv = Array.copy f.pinv;
-        sym_rowperm = Array.copy f.rowperm; l_pat; u_pat },
+        sym_rowperm = Array.copy f.rowperm; sym_q = Array.copy f.q;
+        l_pat; u_pat },
       f )
+
+  let fill s =
+    Array.fold_left (fun acc p -> acc + Array.length p) 0 s.l_pat
+    + Array.fold_left (fun acc p -> acc + Array.length p) 0 s.u_pat
 
   (* The frozen elimination schedule, exported as plain arrays so a
      kernel compiler can flatten it further (Engine.Kernel bakes it into
@@ -317,6 +409,7 @@ module Make (F : Field.S) = struct
     sched_n : int;
     sched_pinv : int array;
     sched_rowperm : int array;
+    sched_q : int array;
     sched_l : int array array;
     sched_u : int array array;
   }
@@ -325,6 +418,7 @@ module Make (F : Field.S) = struct
     { sched_n = s.sym_n;
       sched_pinv = Array.copy s.sym_pinv;
       sched_rowperm = Array.copy s.sym_rowperm;
+      sched_q = Array.copy s.sym_q;
       sched_l = Array.map Array.copy s.l_pat;
       sched_u = Array.map Array.copy s.u_pat }
 
@@ -350,7 +444,8 @@ module Make (F : Field.S) = struct
     let l_cols = mkcols sym.l_pat and u_cols = mkcols sym.u_pat in
     let x = Array.make n F.zero in
     for j = 0 to n - 1 do
-      for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      let c = sym.sym_q.(j) in
+      for p = a.colptr.(c) to a.colptr.(c + 1) - 1 do
         x.(a.rowidx.(p)) <- a.values.(p)
       done;
       let uc = u_cols.(j) in
@@ -368,14 +463,14 @@ module Make (F : Field.S) = struct
       done;
       let pv = x.(sym.sym_rowperm.(j)) in
       let pmag = F.abs pv in
-      if pmag = 0. || not (Float.is_finite pmag) then raise (Singular j);
+      if pmag = 0. || not (Float.is_finite pmag) then raise (Singular c);
       let lc = l_cols.(j) in
       if pivot_tol > 0. then begin
         let colmax = ref pmag in
         for t = 0 to lc.len - 1 do
           colmax := Float.max !colmax (F.abs x.(lc.idx.(t)))
         done;
-        if pmag < pivot_tol *. !colmax then raise (Singular j)
+        if pmag < pivot_tol *. !colmax then raise (Singular c)
       end;
       uc.v.(uc.len - 1) <- pv;
       let ipv = F.div F.one pv in
@@ -391,7 +486,8 @@ module Make (F : Field.S) = struct
         x.(lc.idx.(t)) <- F.zero
       done
     done;
-    { n; l_cols; u_cols; pinv = sym.sym_pinv; rowperm = sym.sym_rowperm }
+    { n; l_cols; u_cols; pinv = sym.sym_pinv; rowperm = sym.sym_rowperm;
+      q = sym.sym_q }
 
   let lu_solve f b =
     if Array.length b <> f.n then invalid_arg "Sparse.lu_solve";
@@ -415,13 +511,14 @@ module Make (F : Field.S) = struct
     done;
     (* Back substitution on U (U is stored per column with the diagonal
        last, entries keyed by pivot position); the permuted intermediate
-       y.(k) lives at w.(rowperm.(k)) — no separate copy. *)
+       y.(k) lives at w.(rowperm.(k)) — no separate copy. Step k solves
+       for original unknown q.(k). *)
     let xsol = Array.make n F.zero in
     for k = n - 1 downto 0 do
       let uc = f.u_cols.(k) in
       let diag = uc.v.(uc.len - 1) in
       let xk = F.div w.(f.rowperm.(k)) diag in
-      xsol.(k) <- xk;
+      xsol.(f.q.(k)) <- xk;
       (* U(:,k)'s above-diagonal entries feed earlier equations. *)
       if not (F.is_zero xk) then
         for q = 0 to uc.len - 2 do
@@ -464,14 +561,14 @@ module Make (F : Field.S) = struct
       let xs = Array.init m (fun _ -> Array.make n F.zero) in
       for k = n - 1 downto 0 do
         let uc = f.u_cols.(k) in
-        let pr = f.rowperm.(k) in
+        let pr = f.rowperm.(k) and qk = f.q.(k) in
         (* One reciprocal per column amortised over the whole batch; the
            permuted intermediates stay in the forward workspaces. *)
         let idiag = F.div F.one uc.v.(uc.len - 1) in
         for s = 0 to m - 1 do
           let w = ws.(s) in
           let xk = F.mul w.(pr) idiag in
-          xs.(s).(k) <- xk;
+          xs.(s).(qk) <- xk;
           if not (F.is_zero xk) then
             for q = 0 to uc.len - 2 do
               let i = f.rowperm.(uc.idx.(q)) in
@@ -482,20 +579,21 @@ module Make (F : Field.S) = struct
       xs
     end
 
-  (* Transpose solve A^T x = b from the same factor. With PA = LU
-     (pivot-position rows, natural columns), A^T = U^T L^T P: a forward
-     pass on U^T (lower triangular, one equation per natural column,
-     read straight off the stored U columns), a backward pass on the
-     unit-triangular L^T (rows of l_cols renamed through pinv are all
-     later pivots), then un-permute. Needed by the Hager/Higham
-     condition estimator, which alternates A^{-1} and A^{-T} products. *)
+  (* Transpose solve A^T x = b from the same factor. With PAQ = LU
+     (pivot-position rows, columns in elimination order),
+     A^T = Q U^T L^T P: a forward pass on U^T (lower triangular, one
+     equation per step, reading b at that step's original column), a
+     backward pass on the unit-triangular L^T (rows of l_cols renamed
+     through pinv are all later pivots), then un-permute the rows.
+     Needed by the Hager/Higham condition estimator, which alternates
+     A^{-1} and A^{-T} products. *)
   let lu_solve_t f b =
     if Array.length b <> f.n then invalid_arg "Sparse.lu_solve_t";
     let n = f.n in
     let w = Array.make n F.zero in
     for j = 0 to n - 1 do
       let uc = f.u_cols.(j) in
-      let acc = ref b.(j) in
+      let acc = ref b.(f.q.(j)) in
       for q = 0 to uc.len - 2 do
         acc := F.sub !acc (F.mul uc.v.(q) w.(uc.idx.(q)))
       done;

@@ -1,9 +1,16 @@
 (** Sparse matrices with LU factorisation over an arbitrary scalar field
-    (left-looking Gilbert-Peierls with partial pivoting). See the
+    (left-looking Gilbert-Peierls with partial pivoting, columns in a
+    minimum-degree order of the pattern of A + A{^T}). See the
     implementation header for the algorithm; {!Srmat} and {!Scmat} are the
-    real and complex instantiations. *)
+    real and complex instantiations.
+
+    The factors satisfy [P A Q = L U]: [P] is the row pivoting, [Q] the
+    fill-reducing column order. Every solve undoes both, so solutions
+    come back indexed by the original unknowns. *)
 
 exception Singular of int
+(** No usable pivot for the given original column (not the elimination
+    step), so callers can name the unknown. *)
 
 module Make (F : Field.S) : sig
   type elt = F.t
@@ -29,11 +36,13 @@ module Make (F : Field.S) : sig
   type factor
 
   val lu_factor : t -> factor
-  (** Raises {!Singular} when a column has no usable pivot. *)
+  (** Computes the column order of the matrix's pattern, then factors.
+      Raises {!Singular} when a column has no usable pivot. *)
 
   type symbolic
-  (** Frequency-independent part of a factorisation: fill-in pattern of
-      L and U plus the pivot order, frozen by {!analyze}. *)
+  (** Frequency-independent part of a factorisation: the column order,
+      the fill-in pattern of L and U and the pivot order, frozen by
+      {!analyze}. *)
 
   val analyze : t -> symbolic * factor
   (** Pivoting factorisation that also freezes the symbolic analysis.
@@ -42,6 +51,10 @@ module Make (F : Field.S) : sig
       parameter value with the same structure. Returns the factor at the
       analysis values too, so the first point of a sweep is not paid
       twice. Raises {!Singular} like {!lu_factor}. *)
+
+  val fill : symbolic -> int
+  (** nnz(L+U) of the frozen pattern, diagonal counted once: the size
+      that sets the per-point cost of {!refactor} and the solves. *)
 
   val refactor : ?pivot_tol:float -> symbolic -> t -> factor
   (** Numeric-only refactorisation along the frozen pattern: no DFS, no
@@ -56,6 +69,9 @@ module Make (F : Field.S) : sig
     sched_n : int;
     sched_pinv : int array;     (** original row -> pivot position *)
     sched_rowperm : int array;  (** pivot position -> original row *)
+    sched_q : int array;
+    (** step -> original column: step j eliminates column [sched_q.(j)],
+        and the solution found at step j is unknown [sched_q.(j)] *)
     sched_l : int array array;
     (** per pivot column: original row indices of the strictly-lower
         entries, in elimination storage order *)

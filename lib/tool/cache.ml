@@ -5,8 +5,8 @@
    deck, the operating point, the compiled solve plan and whole result
    sets are worth keeping between requests. Keys are strings built by
    [Pipeline] from the deck's SHA-256 fingerprint (of its text with
-   every [.include] expanded) plus the options in force — an edited
-   deck or a changed option is a different key, which is all the
+   every [.include] expanded), its origin and the options in force — an
+   edited deck or a changed option is a different key, which is all the
    invalidation a content-addressed cache needs.
 
    Six families, one per pipeline stage:

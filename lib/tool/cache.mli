@@ -2,10 +2,12 @@
     stages.
 
     Keys are opaque strings built by {!Pipeline} from the deck's
-    SHA-256 fingerprint (of its text with every [.include] expanded)
-    plus the options in force, so an edited deck, an edited included
-    file or a changed option is simply a different key — content
-    addressing is the whole invalidation story. Six families are
+    SHA-256 fingerprint (of its text with every [.include] expanded),
+    its origin (file or inline text, and the name) and the options in
+    force, so an edited deck, an edited included file or a changed
+    option is simply a different key — content addressing is the whole
+    invalidation story — and a file and an inline deck that share a
+    text, but parse differently, never share an entry. Six families are
     memoized independently: parsed decks with their lint findings,
     prepared probes (MNA compile + DC operating point), compiled
     {!Engine.Ac_plan} symbolic analyses, compiled {!Engine.Kernel}

@@ -53,7 +53,7 @@ let entry_of_result (r : Stability.Analysis.node_result) =
     peak = dominant (fun d -> d.Stability.Peaks.value);
     quality = Stability.Analysis.quality_string r.quality }
 
-let build ~deck_file ~deck_text ?circ ?(options = []) ?lint_json ?loops
+let build ~deck_file ~deck_sha256 ?circ ?(options = []) ?lint_json ?loops
     ~results ~wall_s ~cpu_s () =
   let lint =
     match lint_json with
@@ -72,7 +72,7 @@ let build ~deck_file ~deck_text ?circ ?(options = []) ?lint_json ?loops
         ("devices", List.length (Circuit.Netlist.devices c)) ]
   in
   { deck_file;
-    deck_sha256 = Sha256.digest deck_text;
+    deck_sha256;
     stats;
     options;
     lint;

@@ -10,11 +10,12 @@
    buried in command bodies.
 
    Both halves memoize through {!Cache}, keyed by the deck's SHA-256
-   fingerprint (of the text with every .include expanded) plus the
-   options in force: [load] keeps the parsed deck and its lint findings
-   and re-applies the gate to them on every request; [analyze] keeps
-   the prepared probe (DC operating point), the compiled plan (symbolic
-   analysis), the kernel and the complete result set with its manifest.
+   fingerprint (of the text with every .include expanded), its origin
+   (file or inline, and the name) plus the options in force: [load]
+   keeps the parsed deck and its lint findings and re-applies the gate
+   to them on every request; [analyze] keeps the prepared probe (DC
+   operating point), the compiled plan (symbolic analysis), the kernel
+   and the complete result set with its manifest.
    A warm repeat of the same request performs no parse, no lint pass,
    no graph build, zero DC solves and zero symbolic analyses; a request
    that only changes the sweep or the probed nodes still reuses the
@@ -74,47 +75,80 @@ let cache_or_global = function Some c -> c | None -> Cache.global ()
 let bounds_fingerprint (b : Staticanalysis.Cycles.bounds) =
   Printf.sprintf "len=%d,cycles=%d" b.max_len b.max_cycles
 
-let sfg_report c ~sha256 ~bounds circ =
-  let key = sha256 ^ "|sfg|" ^ bounds_fingerprint bounds in
+(* [key] is the deck's key ([deck_key] below), which every family's key
+   starts from. *)
+let sfg_report c ~key ~bounds circ =
+  let key = key ^ "|sfg|" ^ bounds_fingerprint bounds in
   Cache.sfg c ~key (fun () -> Staticanalysis.Report.analyze ~bounds circ)
 
 (* One lint pass at the default configuration. Its graph-powered rules
    read the deck's [sfg] report at default bounds — the report they
    would otherwise build for themselves — so linting adds no graph
    build to a run that needs the report anyway. *)
-let run_lint c ~sha256 circ =
+let run_lint c ~key circ =
   Obs.Span.with_ "lint" (fun () ->
       Lint.Runner.run
         ~static:
           (lazy
             (fst
-               (sfg_report c ~sha256
+               (sfg_report c ~key
                   ~bounds:Staticanalysis.Report.default_bounds circ)))
         circ)
 
-let entry_findings c ~sha256 (e : Cache.deck_entry) =
+let entry_findings c ~key (e : Cache.deck_entry) =
   match Atomic.get e.lint with
   | Some findings -> findings
   | None ->
-    let findings = run_lint c ~sha256 e.circ in
+    let findings = run_lint c ~key e.circ in
     Atomic.set e.lint (Some findings);
     findings
 
 (* The [deck] family's key: the fingerprint plus the two parse inputs
    that are not in the text — file or inline (a file's first line is
    always its title), and the name that becomes the title when the
-   text has none. *)
+   text has none. An in-memory design has an origin of its own: it was
+   never parsed, so it shares nothing with a deck of the same text. *)
 let deck_key ~sha256 origin = sha256 ^ "|deck|" ^ origin
 let file_origin path = "file:" ^ Filename.basename path
 let text_origin name = "text:" ^ name
+let circuit_origin name = "circuit:" ^ name
+
+(* The deck key each loaded circuit came from, found by the circuit's
+   identity: [loaded] itself carries only the digest and the name, and
+   a file and an inline deck with the same text and name parse
+   differently. A circuit [load] did not produce (a [loaded] assembled
+   by hand) keys as the inline deck of its name. Weak in the circuit,
+   so the table holds nothing the caches have let go of. *)
+module Origins = Ephemeron.K1.Make (struct
+  type t = Circuit.Netlist.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let origins = Origins.create 64
+let origins_lock = Mutex.create ()
+
+let remember circ key =
+  Mutex.protect origins_lock (fun () -> Origins.replace origins circ key)
+
+let key_of loaded =
+  match
+    Mutex.protect origins_lock (fun () -> Origins.find_opt origins loaded.circ)
+  with
+  | Some key -> key
+  | None -> deck_key ~sha256:loaded.sha256 (text_origin loaded.deck_name)
 
 let parsed c ~origin text parse =
   let sha256 = Sha256.digest text in
+  let key = deck_key ~sha256 origin in
   let entry, _ =
-    Cache.deck c ~key:(deck_key ~sha256 origin) (fun () ->
-        { Cache.circ = Obs.Span.with_ "parse" parse; lint = Atomic.make None })
+    Cache.deck c ~key (fun () ->
+        let circ = Obs.Span.with_ "parse" parse in
+        remember circ key;
+        { Cache.circ; lint = Atomic.make None })
   in
-  (text, sha256, entry)
+  (text, sha256, key, entry)
 
 let load ?cache ?(policy = default_lint_policy) deck =
   let c = cache_or_global cache in
@@ -137,23 +171,26 @@ let load ?cache ?(policy = default_lint_policy) deck =
        let text = Circuit.Parser.expand_includes text in
        parsed c ~origin:(text_origin name) text (fun () ->
            Circuit.Parser.parse_string ~name text)
-     | Deck_circuit { circ; _ } ->
+     | Deck_circuit { name; circ } ->
        (* Fingerprint the in-memory design through its canonical SPICE
           rendering (temperature included), so an OCEAN session's
-          repeated runs hit the same cache rows as the CLI on the
-          exported deck. There is nothing to parse, so no [deck]
-          entry: the caller's circuit is the one analyzed. *)
+          repeated runs hit the same cache rows. There is nothing to
+          parse, so no [deck] entry: the caller's circuit is the one
+          analyzed. *)
        let text = Circuit.Netlist.to_spice circ in
-       (text, Sha256.digest text, { Cache.circ; lint = Atomic.make None }))
+       let sha256 = Sha256.digest text in
+       let key = deck_key ~sha256 (circuit_origin name) in
+       remember circ key;
+       (text, sha256, key, { Cache.circ; lint = Atomic.make None }))
   with
   | exception Circuit.Parser.Parse_error { line; message } ->
     Error
       (Parse_failed
          { message = Printf.sprintf "%s:%d: %s" deck_name line message })
   | exception Sys_error m -> Error (Parse_failed { message = m })
-  | deck_text, sha256, entry ->
+  | deck_text, sha256, key, entry ->
     let findings =
-      if policy.no_lint then [] else entry_findings c ~sha256 entry
+      if policy.no_lint then [] else entry_findings c ~key entry
     in
     if List.exists (blocking policy) findings then
       Error (Lint_blocked { findings })
@@ -161,22 +198,10 @@ let load ?cache ?(policy = default_lint_policy) deck =
 
 let lint_findings ?cache loaded =
   let c = cache_or_global cache in
-  (* [loaded] does not say whether it came from a file or inline text,
-     so both keys are tried; identity confirms the entry is the one
-     [load] parsed this circuit into. *)
-  let mine origin =
-    match
-      Cache.peek_deck c ~key:(deck_key ~sha256:loaded.sha256 origin)
-    with
-    | Some e when e.Cache.circ == loaded.circ -> Some e
-    | _ -> None
-  in
-  match
-    List.find_map mine
-      [ text_origin loaded.deck_name; file_origin loaded.deck_name ]
-  with
-  | Some e -> entry_findings c ~sha256:loaded.sha256 e
-  | None -> run_lint c ~sha256:loaded.sha256 loaded.circ
+  let key = key_of loaded in
+  match Cache.peek_deck c ~key with
+  | Some e -> entry_findings c ~key e
+  | None -> run_lint c ~key loaded.circ
 
 (* ---- guard: engine exceptions -> failure values ---- *)
 
@@ -216,7 +241,7 @@ let guard loaded f =
 
 let static_report ?cache ?(bounds = Staticanalysis.Report.default_bounds)
     loaded =
-  sfg_report (cache_or_global cache) ~sha256:loaded.sha256 ~bounds
+  sfg_report (cache_or_global cache) ~key:(key_of loaded) ~bounds
     loaded.circ
 
 (* ---- manifest emission (the one helper every mode shares) ---- *)
@@ -235,7 +260,7 @@ let manifest_of ?cache loaded ~options ~results ~wall_s ~cpu_s =
     Lint.Json.report ~file:loaded.deck_name (lint_findings ?cache loaded)
   in
   let loops = Loops_report.section (fst (static_report ?cache loaded)) in
-  Manifest.build ~deck_file:loaded.deck_name ~deck_text:loaded.deck_text
+  Manifest.build ~deck_file:loaded.deck_name ~deck_sha256:loaded.sha256
     ~circ:loaded.circ ~options ~lint_json ~loops ~results ~wall_s ~cpu_s ()
 
 (* ---- analyze: the cached stability run ---- *)
@@ -326,7 +351,8 @@ let manifest_options analysis (o : Stability.Analysis.options) =
 let analyze_uncached ?cache ~options loaded analysis =
   let cache = cache_or_global cache in
   let op_key =
-    loaded.sha256 ^ "|op|" ^ dc_fingerprint options.Stability.Analysis.dc_options
+    key_of loaded ^ "|op|"
+    ^ dc_fingerprint options.Stability.Analysis.dc_options
   in
   let plan_key =
     op_key ^ "|plan|" ^ backend_tag options.Stability.Analysis.backend
@@ -388,9 +414,11 @@ let analyze_uncached ?cache ~options loaded analysis =
 let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
     analysis =
   let c = cache_or_global cache in
+  (* The manifest records the deck's name, so the result key adds it
+     to the deck key (a file's origin holds only its basename). *)
   let result_key =
-    loaded.sha256 ^ "|" ^ analysis_fingerprint analysis ^ "|"
-    ^ options_fingerprint options
+    key_of loaded ^ "|name:" ^ loaded.deck_name ^ "|"
+    ^ analysis_fingerprint analysis ^ "|" ^ options_fingerprint options
   in
   let entry, hit =
     Cache.result c ~key:result_key (fun () ->

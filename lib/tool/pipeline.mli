@@ -11,8 +11,9 @@
     can answer a broken request and keep serving.
 
     Every stage memoizes through {!Cache}, keyed by the deck's SHA-256
-    fingerprint (of its text with every [.include] expanded) and the
-    options in force. [load] keeps the parsed deck and its lint
+    fingerprint (of its text with every [.include] expanded), its
+    origin (file, inline text or in-memory design, with its name) and
+    the options in force; results add the name the manifest records. [load] keeps the parsed deck and its lint
     findings ([deck] family) and applies the gate to them on every
     request; [analyze] keeps the prepared probe (MNA + DC operating
     point), the compiled {!Engine.Ac_plan} (the symbolic analysis), the
@@ -40,7 +41,9 @@ type loaded = {
   deck_name : string;
   deck_text : string;           (** with every [.include] expanded *)
   sha256 : string;
-      (** fingerprint of [deck_text] — every cache key's prefix *)
+      (** fingerprint of [deck_text] — every cache key's prefix, followed
+          by the origin [load] read the deck from; a record built
+          outside [load] keys as the inline deck [deck_name] *)
   circ : Circuit.Netlist.t;
   findings : Lint.Rule.finding list;
       (** what the gate ran (and the CLI prints); [[]] under [no_lint] *)
@@ -74,9 +77,9 @@ val load :
 val lint_findings : ?cache:Cache.t -> loaded -> Lint.Rule.finding list
 (** The deck's lint findings under {!Lint.Runner.default}, whatever the
     gate [load] applied — what manifests record and the serve [lint]
-    command answers. Read from the [deck] entry [load] filled (computed
-    there once on first need); a deck without one, an OCEAN design
-    say, is linted afresh. Either way the graph-powered rules read the
+    command answers. Read from the [deck] entry [load] filled (one
+    lookup under the deck's own key, computed there once on first
+    need); a deck without one, an OCEAN design say, is linted afresh. Either way the graph-powered rules read the
     {!static_report}, so linting adds no graph build. *)
 
 val guard : loaded -> (unit -> 'a) -> ('a, failure) result
@@ -92,7 +95,7 @@ val static_report :
   Staticanalysis.Report.t * bool
 (** The deck's static signal-flow report (loops, probe cover,
     reachability), memoized in the [sfg] cache family keyed by the deck
-    fingerprint and the cycle bounds. The [bool] is the hit flag; a warm
+    (fingerprint and origin) and the cycle bounds. The [bool] is the hit flag; a warm
     hit performs zero graph rebuilds ([sfg.builds] stays flat). *)
 
 val manifest_of :

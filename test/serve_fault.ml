@@ -9,6 +9,11 @@
    - editing a file that a deck includes is a cache miss whose answer
      carries the new natural frequency (the fingerprint once covered
      only the top-level text, so the stale answer came back as a hit);
+   - one text sent as a file and inline, in either order, is answered
+     per origin: a file's first line is its title, so "L1 n 0 1u" there
+     leaves an RC pole at 1.592 MHz, while inline it is a card and the
+     deck an LC tank at 5.033 MHz (keys once held only the digest, so
+     the second request got the first one's answer as a hit);
    - `acstab all-nodes` and `acstab lint` exit 2 on the self-including
      deck, with no uncaught-exception report. *)
 
@@ -134,6 +139,35 @@ let () =
   expect "after editing the included part" (analyze ())
     ("miss", 2.516e6, 0.316);
 
+  (* One text, file and inline, in both orders. *)
+  let origin_text = "L1 n 0 1u\nC1 n 0 1n\nR1 n 0 100\n.end\n" in
+  write "pole_a.sp" origin_text;
+  write "pole_b.sp" origin_text;
+  let single what deck fn' =
+    let r =
+      request
+        ([ ("cmd", str "analyze"); ("mode", str "single-node");
+           ("node", str "n") ]
+         @ deck)
+    in
+    match Option.bind (Tool.Json.member "nodes" r) Tool.Json.to_list with
+    | Some [ node ] ->
+      (match (Tool.Json.mem_str "cache" r, Tool.Json.mem_float "f_n" node) with
+       | Some "miss", Some fn when Float.abs (fn -. fn') <= 1e-3 *. fn' -> ()
+       | verdict, fn ->
+         fail "%s: got cache=%s f_n=%s, wanted a miss at f_n=%.4g" what
+           (Option.value ~default:"<absent>" verdict)
+           (Option.fold ~none:"<absent>" ~some:(Printf.sprintf "%.4g") fn)
+           fn')
+    | _ -> fail "%s: analyze failed: %s" what (Tool.Json.to_string r)
+  in
+  let as_file name = [ ("deck", str (path name)) ] in
+  let inline name = [ ("deck_text", str origin_text); ("name", str name) ] in
+  single "file first" (as_file "pole_a.sp") 1.592e6;
+  single "then the same text inline" (inline "pole_a.sp") 5.033e6;
+  single "inline first" (inline "pole_b.sp") 5.033e6;
+  single "then the same text as a file" (as_file "pole_b.sp") 1.592e6;
+
   ignore (request [ ("cmd", str "shutdown") ]);
   Tool.Server.Client.close c;
   Thread.join server;
@@ -163,5 +197,6 @@ let () =
   print_endline
     "serve-fault: OK (self-including deck answered code 2 by \
      analyze/lint/loops with the daemon still serving, included-file edit \
-     re-analyzed as a miss with the new f_n, CLI exits 2 on the \
+     re-analyzed as a miss with the new f_n, one text answered per origin \
+     as a file and inline in both orders, CLI exits 2 on the \
      self-including deck)"

@@ -271,6 +271,218 @@ let prop_symbolic_reuse =
             xs bs)
         omegas)
 
+(* ---------- fill-reducing column order ---------- *)
+
+(* A random MNA-shaped system as (row, col, g, c) stamps, g + s c at
+   "frequency" s: node rows each with a conductance and capacitance to
+   ground, resistor and capacitor stamps between nodes, weak VCCS
+   couplings, then branch rows tied in by +-1 incidence pairs whose
+   diagonal is structurally zero (voltage sources) or reactive
+   (inductors). Branch k's + terminal is node k and its - terminal is
+   ground or a node no branch starts at, so the incidence block has full
+   column rank and the system is nonsingular at every s > 0. *)
+let random_mna st =
+  let nodes = 2 + Random.State.int st 24 in
+  let branches = Random.State.int st (1 + Int.min 8 (nodes / 2)) in
+  let stamps = ref [] in
+  let add i j g c = if i >= 0 && j >= 0 then stamps := (i, j, g, c) :: !stamps in
+  let quad i j g c =
+    add i i g c;
+    add j j g c;
+    add i j (-.g) (-.c);
+    add j i (-.g) (-.c)
+  in
+  let node () = Random.State.int st nodes in
+  for i = 0 to nodes - 1 do
+    add i i (0.1 +. Random.State.float st 1.) (Random.State.float st 1.)
+  done;
+  for _ = 1 to 2 * nodes do
+    let i = node () and j = node () in
+    if i <> j then
+      if Random.State.bool st then quad i j (Random.State.float st 2.) 0.
+      else quad i j 0. (Random.State.float st 2.)
+  done;
+  for _ = 1 to nodes / 2 do
+    let i = node () and j = node () in
+    if i <> j then add i j (0.01 *. (Random.State.float st 2. -. 1.)) 0.
+  done;
+  for k = 0 to branches - 1 do
+    let br = nodes + k in
+    let m =
+      if Random.State.bool st then -1
+      else branches + Random.State.int st (nodes - branches)
+    in
+    add k br 1. 0.;
+    add br k 1. 0.;
+    add m br (-1.) 0.;
+    add br m (-1.) 0.;
+    if Random.State.bool st then
+      add br br 0. (-.(0.1 +. Random.State.float st 1.))
+  done;
+  (nodes + branches, !stamps)
+
+module type MNA_LU = sig
+  type elt
+  type t
+  type factor
+  type symbolic
+
+  val of_triplets : rows:int -> cols:int -> (int * int * elt) list -> t
+  val lu_factor : t -> factor
+  val analyze : t -> symbolic * factor
+  val refactor : ?pivot_tol:float -> symbolic -> t -> factor
+  val lu_solve : factor -> elt array -> elt array
+  val lu_solve_many : factor -> elt array array -> elt array array
+  val lu_solve_t : factor -> elt array -> elt array
+  val order : symbolic -> int array
+  val value : s:float -> g:float -> c:float -> elt
+  val random : Random.State.t -> elt
+  val dense_solve : int -> (int * int * elt) list -> elt array -> elt array
+  val close : elt array -> elt array -> bool
+end
+
+(* Every solve of the column-ordered factorisation against dense LU on
+   MNA-shaped systems, plus the order's own contract. *)
+module Mna_props (L : MNA_LU) = struct
+  let system ~salt (n_seed, seed) =
+    let st = Random.State.make [| seed; n_seed; salt |] in
+    let n, stamps = random_mna st in
+    let at s = List.map (fun (i, j, g, c) -> (i, j, L.value ~s ~g ~c)) stamps in
+    (st, n, at)
+
+  let arb = QCheck.(pair (int_range 0 1000) (int_range 0 100_000))
+
+  let factor_solve name =
+    QCheck.Test.make ~name:(name ^ " lu_factor + lu_solve = dense") ~count:100
+      arb (fun key ->
+        let st, n, at = system ~salt:97 key in
+        let ts = at 1. in
+        let b = Array.init n (fun _ -> L.random st) in
+        L.close
+          (L.lu_solve (L.lu_factor (L.of_triplets ~rows:n ~cols:n ts)) b)
+          (L.dense_solve n ts b))
+
+  (* The sweep path: one analysis, then numeric refactors at other
+     values with the plan's stale-pivot fallback. *)
+  let refactor_many name =
+    QCheck.Test.make
+      ~name:(name ^ " analyze + refactor + lu_solve_many = dense") ~count:100
+      arb (fun key ->
+        let st, n, at = system ~salt:101 key in
+        let sym, _ = L.analyze (L.of_triplets ~rows:n ~cols:n (at 1.)) in
+        let bs = Array.init 3 (fun _ -> Array.init n (fun _ -> L.random st)) in
+        List.for_all
+          (fun s ->
+            let ts = at s in
+            let a = L.of_triplets ~rows:n ~cols:n ts in
+            let f =
+              try L.refactor ~pivot_tol:1e-6 sym a
+              with Sparse.Singular _ -> snd (L.analyze a)
+            in
+            let xs = L.lu_solve_many f bs in
+            Array.for_all2
+              (fun x b -> L.close x (L.dense_solve n ts b))
+              xs bs)
+          [ 0.3; 3.; 30. ])
+
+  let transpose_solve name =
+    QCheck.Test.make ~name:(name ^ " lu_solve_t = dense transpose") ~count:100
+      arb (fun key ->
+        let st, n, at = system ~salt:103 key in
+        let ts = at 1. in
+        let b = Array.init n (fun _ -> L.random st) in
+        L.close
+          (L.lu_solve_t (L.lu_factor (L.of_triplets ~rows:n ~cols:n ts)) b)
+          (L.dense_solve n (List.map (fun (i, j, v) -> (j, i, v)) ts) b))
+
+  let order_contract name =
+    QCheck.Test.make
+      ~name:(name ^ " order is a permutation, the same on a second call")
+      ~count:100 arb (fun key ->
+        let _, n, at = system ~salt:107 key in
+        let a = L.of_triplets ~rows:n ~cols:n (at 1.) in
+        let q = L.order (fst (L.analyze a)) in
+        let hit = Array.make n false in
+        Array.iter (fun c -> hit.(c) <- true) q;
+        Array.length q = n
+        && Array.for_all Fun.id hit
+        && q = L.order (fst (L.analyze a)))
+
+  (* An all-zero column is named by its original index, whatever step
+     the order eliminates it at. *)
+  let zero_column name =
+    QCheck.Test.make ~name:(name ^ " zero column k raises Singular k")
+      ~count:100 arb (fun key ->
+        let st, n, at = system ~salt:109 key in
+        let k = Random.State.int st n in
+        let a =
+          L.of_triplets ~rows:n ~cols:n
+            (List.filter (fun (_, j, _) -> j <> k) (at 1.))
+        in
+        let raises f = match f () with _ -> false | exception Sparse.Singular c -> c = k in
+        raises (fun () -> ignore (L.lu_factor a))
+        && raises (fun () -> ignore (L.analyze a)))
+
+  let tests name =
+    [ factor_solve name; refactor_many name; transpose_solve name;
+      order_contract name; zero_column name ]
+end
+
+module Real_mna = Mna_props (struct
+  include Srmat
+
+  let order s = (schedule_of s).sched_q
+  let value ~s ~g ~c = g +. (s *. c)
+  let random st = Random.State.float st 2. -. 1.
+
+  let dense_solve n ts b =
+    let d = Rmat.create n n in
+    List.iter (fun (i, j, v) -> Rmat.add_to d i j v) ts;
+    Rmat.solve d b
+
+  let close = Vec.all_close ~tol:1e-8
+end)
+
+module Complex_mna = Mna_props (struct
+  include Scmat
+
+  let order s = (schedule_of s).sched_q
+  let value ~s ~g ~c = { Complex.re = g; im = s *. c }
+  let random st =
+    { Complex.re = Random.State.float st 2. -. 1.;
+      im = Random.State.float st 2. -. 1. }
+
+  let dense_solve n ts b =
+    let d = Cmat.create n n in
+    List.iter (fun (i, j, v) -> Cmat.add_to d i j v) ts;
+    Cmat.solve d b
+
+  let close = Array.for_all2 (Cx.close ~tol:1e-8)
+end)
+
+(* nnz(L+U) of the plan the AC sweep factors, read through the exported
+   schedule, against the minimum-degree fill of each deck (natural
+   order: 125, 267, 91 and 36431). *)
+let test_fill_bounds () =
+  List.iter
+    (fun (name, circ, bound) ->
+      let probe = Stability.Probe.prepare circ in
+      match Stability.Analysis.shared_plan Stability.Analysis.default_options probe with
+      | None -> Alcotest.failf "%s: no plan" name
+      | Some plan ->
+        let sch = Scmat.schedule_of (Engine.Ac_plan.symbolic plan) in
+        let count = Array.fold_left (fun acc c -> acc + Array.length c) 0 in
+        let fill = count sch.Scmat.sched_l + count sch.Scmat.sched_u in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s fill %d <= %d" name fill bound) true
+          (fill <= bound);
+        Alcotest.(check int) (name ^ ": fill accessor") fill
+          (Scmat.fill (Engine.Ac_plan.symbolic plan)))
+    [ ("op-amp", Workloads.Opamp_2mhz.buffer (), 78);
+      ("amp_array 6", Workloads.Synth.amp_array ~stages:6 (), 182);
+      ("rc_ladder_20", Workloads.Ladder.rc ~sections:20 (), 63);
+      ("amp_array 100", Workloads.Synth.amp_array ~stages:100 (), 3002) ]
+
 (* ---------- condition estimation ---------- *)
 
 let random_dense_complex st n =
@@ -856,6 +1068,10 @@ let () =
       qsuite "sparse-props"
         [ prop_sparse_lu_random; prop_sparse_matches_dense;
           prop_sparse_complex; prop_symbolic_reuse ];
+      qsuite "order-props"
+        (Real_mna.tests "Srmat" @ Complex_mna.tests "Scmat");
+      ("sparse-order",
+       [ Alcotest.test_case "fill bounds" `Quick test_fill_bounds ]);
       ("cond",
        [ Alcotest.test_case "ill-conditioned rcond" `Quick
            test_cond_ill_conditioned;

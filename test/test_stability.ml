@@ -804,6 +804,74 @@ let test_quality_suspect_on_starved_deck () =
       Alcotest.(check string) "starved deck grades suspect" "suspect"
         (Stability.Analysis.quality_string res.Stability.Analysis.quality))
 
+(* ---------- chained amp_array stages ---------- *)
+
+(* A seeded variant of a [stages]-stage Synth.amp_array chain: every
+   resistor and capacitor scaled by its own factor within +-2%, as the
+   serve_campaign benchmark builds its decks (perfbench/decks.ml), with
+   the chain length as a parameter. *)
+let amp_variant ~stages ~seed k =
+  let st = Random.State.make [| seed; k |] in
+  let scale v =
+    v *. (1. +. (0.02 *. ((2. *. Random.State.float st 1.) -. 1.)))
+  in
+  Workloads.Synth.amp_array ~stages ()
+  |> Circuit.Netlist.map_devices (function
+       | Circuit.Netlist.Resistor r ->
+         Circuit.Netlist.Resistor { r with r = scale r.r }
+       | Circuit.Netlist.Capacitor c ->
+         Circuit.Netlist.Capacitor { c with c = scale c.c }
+       | d -> d)
+  |> Circuit.Netlist.to_spice
+
+(* Closed-loop poles of stage [s] on its own: a gain A_v driving two RC
+   poles under unity feedback, w_n^2 = (1 + A_v) / (tau1 tau2) and
+   zeta = (tau1 + tau2) / (2 sqrt ((1 + A_v) tau1 tau2)). *)
+let stage_closed_form circ s =
+  let value name =
+    match Circuit.Netlist.find_device circ (Printf.sprintf "%s_%d" name s) with
+    | Some (Circuit.Netlist.Resistor { r; _ }) -> r
+    | Some (Circuit.Netlist.Capacitor { c; _ }) -> c
+    | Some (Circuit.Netlist.Vcvs { gain; _ }) -> gain
+    | _ -> Alcotest.failf "no %s_%d" name s
+  in
+  let av = value "EAMP" in
+  let tau1 = value "R1" *. value "C1" and tau2 = value "R2" *. value "C2" in
+  let wn = sqrt ((1. +. av) /. (tau1 *. tau2)) in
+  (wn /. (2. *. Float.pi),
+   (tau1 +. tau2) /. (2. *. sqrt ((1. +. av) *. tau1 *. tau2)))
+
+(* Three variants whose last-stage peak natural-order elimination read
+   wrongly (0.5%, 5% and 1.6% off in f_n; the 12-stage one with a
+   spurious doublet). Each must match its stage's closed form within
+   the campaign gate's tolerances: 1e-3 on f_n, 2e-2 on zeta (the
+   formula leaves out the 1 MOhm load, about 1% of the damping). *)
+let test_chained_stages_match_closed_form () =
+  List.iter
+    (fun (stages, seed, k) ->
+      let case = Printf.sprintf "%d stages, seed %d, variant %d" stages seed k in
+      let circ =
+        Circuit.Parser.parse_string ~name:"variant"
+          (amp_variant ~stages ~seed k)
+      in
+      let s = stages - 1 in
+      let fn, zeta = stage_closed_form circ s in
+      let r =
+        Stability.Analysis.single_node circ (Workloads.Synth.amp_stage_out s)
+      in
+      let rel a b = Float.abs (a -. b) /. Float.abs b in
+      match r.Stability.Analysis.dominant with
+      | None -> Alcotest.failf "%s: no dominant peak" case
+      | Some d ->
+        let f = d.Stability.Peaks.freq in
+        if rel f fn > 1e-3 then
+          Alcotest.failf "%s: f_n %.6g Hz, closed form %.6g Hz" case f fn;
+        (match d.Stability.Peaks.zeta with
+         | Some z when rel z zeta <= 2e-2 -> ()
+         | Some z -> Alcotest.failf "%s: zeta %.5g, closed form %.5g" case z zeta
+         | None -> Alcotest.failf "%s: no zeta" case))
+    [ (20, 4, 119); (12, 2, 97); (8, 1, 172) ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -864,7 +932,9 @@ let () =
            test_kernel_counter_budget ]);
       ("cross-validation",
        [ Alcotest.test_case "matches exact TF poles" `Quick
-           test_cross_validation_with_tf ]);
+           test_cross_validation_with_tf;
+         Alcotest.test_case "chained stages match closed form" `Quick
+           test_chained_stages_match_closed_form ]);
       ("limitations",
        [ Alcotest.test_case "RHP poles look stable in the plot" `Quick
            test_rhp_poles_look_stable_in_the_plot ]);

@@ -468,7 +468,8 @@ let ladder_results () =
 
 let build_manifest results =
   Tool.Manifest.build ~deck_file:"ladder.sp"
-    ~deck_text:"* rc ladder deck text\n" ~circ:(Workloads.Ladder.rc ~sections:4 ())
+    ~deck_sha256:(Tool.Sha256.digest "* rc ladder deck text\n")
+    ~circ:(Workloads.Ladder.rc ~sections:4 ())
     ~options:[ ("mode", "all-nodes") ] ~results ~wall_s:0.25 ~cpu_s:0.5 ()
 
 let test_manifest_roundtrip () =
@@ -887,6 +888,57 @@ let test_pipeline_include_fingerprint () =
   | Error f ->
     Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
 
+(* One text under two names and both origins. A file's first line is
+   its title; inline, "L1 n 0 1u" looks like a card and is parsed as
+   one. So the text is an RC pole at 1.592 MHz as a file and an LC
+   tank at 5.033 MHz inline, and the four decks name themselves four
+   ways: four result misses, each manifest naming its own deck. *)
+let test_pipeline_origin_keys () =
+  let dir = Filename.temp_file "origins" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let text = "L1 n 0 1u\nC1 n 0 1n\nR1 n 0 100\n.end\n" in
+  let file name =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let decks =
+    [ (file "a.sp", Tool.Pipeline.Deck_file (file "a.sp"), 1.592e6);
+      (file "b.sp", Tool.Pipeline.Deck_file (file "b.sp"), 1.592e6);
+      ("a.sp", Tool.Pipeline.Deck_text { name = "a.sp"; text }, 5.033e6);
+      ("b.sp", Tool.Pipeline.Deck_text { name = "b.sp"; text }, 5.033e6) ]
+  in
+  let cache = Tool.Cache.create () in
+  let options =
+    { Stability.Analysis.default_options with
+      sweep = Numerics.Sweep.decade 1e5 1e8 10 }
+  in
+  let misses () = counter_value "cache.result.misses" in
+  let m0 = misses () in
+  List.iter
+    (fun (name, deck, fn) ->
+      match
+        Tool.Pipeline.run ~cache
+          (Tool.Pipeline.request ~options deck (Tool.Pipeline.Single_node "n"))
+      with
+      | Error f ->
+        Alcotest.failf "%s: %s" name (Tool.Pipeline.failure_message f)
+      | Ok o ->
+        let m = o.Tool.Pipeline.manifest in
+        Alcotest.(check bool) (name ^ " is a miss") true
+          (o.Tool.Pipeline.cache = `Miss);
+        Alcotest.(check string) (name ^ " names its deck") name
+          m.Tool.Manifest.deck_file;
+        match m.Tool.Manifest.nodes with
+        | [ { Tool.Manifest.f_n = Some f; _ } ] ->
+          check_close ~tol:1e-3 (name ^ " f_n") fn f
+        | _ -> Alcotest.failf "%s: no peak at n" name)
+    decks;
+  Alcotest.(check int) "four result misses" (m0 + 4) (misses ());
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "a.sp"; "b.sp" ];
+  Unix.rmdir dir
+
 (* Pipeline failures are values carrying the CLI exit-code contract. *)
 let test_pipeline_failures () =
   (match
@@ -998,6 +1050,8 @@ let () =
            test_pipeline_kernel_warm;
          Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
          Alcotest.test_case "deck family" `Quick test_pipeline_deck_family;
+         Alcotest.test_case "keys by origin and name" `Quick
+           test_pipeline_origin_keys;
          Alcotest.test_case "fingerprint covers includes" `Quick
            test_pipeline_include_fingerprint ]);
       ("pipeline",
