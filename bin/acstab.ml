@@ -928,22 +928,6 @@ let loops_cmd =
     Term.(const run $ log_term $ obs_term $ file_arg $ json $ max_len
           $ max_cycles)
 
-(* ---- check ---- *)
-
-let check_cmd =
-  let run () file =
-    let circ = read_circuit file in
-    match Circuit.Topology.check circ with
-    | [] -> print_endline "no structural issues found"
-    | issues ->
-      List.iter
-        (fun i -> Format.printf "%a@." Circuit.Topology.pp_issue i)
-        issues;
-      exit 1
-  in
-  Cmd.v (Cmd.info "check" ~doc:"Structural sanity checks on a netlist.")
-    Term.(const run $ log_term $ file_arg)
-
 (* ---- diff ---- *)
 
 let diff_cmd =
@@ -1287,7 +1271,7 @@ let main =
       tran_cmd;
       loopgain_cmd; poles_cmd; noise_cmd; sensitivity_cmd; stab_track_cmd;
       dcsweep_cmd;
-      montecarlo_cmd; table1_cmd; lint_cmd; loops_cmd; check_cmd; diff_cmd;
+      montecarlo_cmd; table1_cmd; lint_cmd; loops_cmd; diff_cmd;
       serve_cmd; top_cmd; export_cmd; synth_cmd; demo_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -11,70 +11,16 @@ let phasor (spec : Circuit.Netlist.source_spec) =
   if spec.ac_mag = 0. then Cx.zero
   else Cx.polar spec.ac_mag (spec.ac_phase_deg *. Float.pi /. 180.)
 
-(* Stamp the matrix of the complex system at angular frequency [w]
-   (source phasors go to the RHS separately: probing analyses reuse the
-   same matrix with their own excitation). *)
-let matrix_at mna prims ~gmin ~w a =
-  let jw c = Cx.make 0. (w *. c) in
-  let real g = Cx.of_float g in
-  Array.iter
-    (fun (_, e) ->
-      match e with
-      | Mna.E_res { i; j; g } -> Mna.stamp_gc a i j (real g)
-      | Mna.E_cap { i; j; c; _ } -> Mna.stamp_gc a i j (jw c)
-      | Mna.E_ind { i; j; l; br; _ } ->
-        Mna.stamp_mat_c a i br Cx.one;
-        Mna.stamp_mat_c a j br (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br i Cx.one;
-        Mna.stamp_mat_c a br j (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br br (Cx.neg (jw l))
-      | Mna.E_vsrc { i; j; br; _ } ->
-        Mna.stamp_mat_c a i br Cx.one;
-        Mna.stamp_mat_c a j br (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br i Cx.one;
-        Mna.stamp_mat_c a br j (Cx.of_float (-1.))
-      | Mna.E_isrc _ -> ()
-      | Mna.E_vcvs { i; j; ci; cj; br; gain } ->
-        Mna.stamp_mat_c a i br Cx.one;
-        Mna.stamp_mat_c a j br (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br i Cx.one;
-        Mna.stamp_mat_c a br j (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br ci (real (-.gain));
-        Mna.stamp_mat_c a br cj (real gain)
-      | Mna.E_vccs { i; j; ci; cj; gm } ->
-        Mna.stamp_mat_c a i ci (real gm);
-        Mna.stamp_mat_c a i cj (real (-.gm));
-        Mna.stamp_mat_c a j ci (real (-.gm));
-        Mna.stamp_mat_c a j cj (real gm)
-      | Mna.E_cccs { i; j; cbr; gain } ->
-        Mna.stamp_mat_c a i cbr (real gain);
-        Mna.stamp_mat_c a j cbr (real (-.gain))
-      | Mna.E_ccvs { i; j; cbr; br; rm } ->
-        Mna.stamp_mat_c a i br Cx.one;
-        Mna.stamp_mat_c a j br (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br i Cx.one;
-        Mna.stamp_mat_c a br j (Cx.of_float (-1.));
-        Mna.stamp_mat_c a br cbr (real (-.rm))
-      | Mna.E_mut { br1; br2; m } ->
-        (* v1 includes jwM i2 and v2 includes jwM i1. *)
-        Mna.stamp_mat_c a br1 br2 (Cx.neg (jw m));
-        Mna.stamp_mat_c a br2 br1 (Cx.neg (jw m))
-      | Mna.E_diode _ | Mna.E_bjt _ | Mna.E_mos _ -> ())
-    mna.Mna.elems;
-  List.iter
-    (function
-      | Linearize.L_g { i; j; g } -> Mna.stamp_gc a i j (real g)
-      | Linearize.L_c { i; j; c } -> Mna.stamp_gc a i j (jw c)
-      | Linearize.L_quad { out_p; out_m; ctrl_p; ctrl_m; gm } ->
-        let g = real gm in
-        Mna.stamp_mat_c a out_p ctrl_p g;
-        Mna.stamp_mat_c a out_p ctrl_m (Cx.neg g);
-        Mna.stamp_mat_c a out_m ctrl_p (Cx.neg g);
-        Mna.stamp_mat_c a out_m ctrl_m g)
-    prims;
-  for i = 0 to mna.Mna.n_nodes - 1 do
-    Cmat.add_to a i i (real gmin)
-  done
+(* The dense system A(w) = G + jwC: each pencil stamp adds g + j(w c)
+   in the pencil's order (source phasors go to the RHS separately:
+   probing analyses reuse the same matrix with their own excitation).
+   Building it from the plan's summed G and C instead would change bits:
+   w * (sum c) is not sum (w * c) in floating point. *)
+let matrix_at mna prims ~gmin ~omega =
+  let a = Cmat.create mna.Mna.size mna.Mna.size in
+  Stamps.pencil mna prims ~gmin (fun i j g c ->
+      Cmat.add_to a i j (Cx.make g (omega *. c)));
+  a
 
 (* Independent-source excitation vector. *)
 let source_rhs mna b =
@@ -89,13 +35,8 @@ let source_rhs mna b =
       | _ -> ())
     mna.Mna.elems
 
-let matrix_of ?(gmin = 1e-12) ~op ~omega mna =
-  let prims = Linearize.of_op op in
-  let a = Cmat.create mna.Mna.size mna.Mna.size in
-  matrix_at mna prims ~gmin ~w:omega a;
-  a
-
-let factor_at ?gmin ~op ~omega mna = Cmat.lu_factor (matrix_of ?gmin ~op ~omega mna)
+let factor_at ?(gmin = 1e-12) ~op ~omega mna =
+  Cmat.lu_factor (matrix_at mna (Linearize.of_op op) ~gmin ~omega)
 
 let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
 
@@ -131,9 +72,7 @@ let run_compiled ?op ?(gmin = 1e-12) ?backend ~sweep mna =
       let prims = Linearize.of_op op in
       Array.map
         (fun f ->
-          let w = 2. *. Float.pi *. f in
-          let a = Cmat.create mna.Mna.size mna.Mna.size in
-          matrix_at mna prims ~gmin ~w a;
+          let a = matrix_at mna prims ~gmin ~omega:(2. *. Float.pi *. f) in
           let lu = Cmat.lu_factor a in
           let x = Cmat.lu_solve lu b0 in
           if Health.tick () then dense_health a lu ~x ~b:b0;

@@ -1,8 +1,8 @@
 (** Small-signal AC analysis.
 
-    Linearises the circuit at its DC operating point and solves the complex
-    MNA system at every sweep frequency, driven by the AC magnitudes/phases
-    of the independent sources. *)
+    Linearises the circuit at its DC operating point and solves the
+    pencil [G + jwC] of {!Stamps.pencil} at every sweep frequency, driven
+    by the AC magnitudes/phases of the independent sources. *)
 
 type result = {
   mna : Mna.t;
@@ -30,15 +30,14 @@ val run_compiled :
     (bit-identical values to [`Plan]). *)
 
 val matrix_at :
-  Mna.t -> Linearize.prim list -> gmin:float -> w:float -> Numerics.Cmat.t ->
-  unit
-(** Stamp the complex system matrix at angular frequency [w] into a zeroed
-    matrix (sources contribute nothing — excitations are separate RHS
-    vectors). Exposed for the probing and noise analyses. *)
-
-val matrix_of :
-  ?gmin:float -> op:Dcop.t -> omega:float -> Mna.t -> Numerics.Cmat.t
-(** Freshly stamped dense system at one angular frequency. *)
+  Mna.t -> Linearize.prim list -> gmin:float -> omega:float ->
+  Numerics.Cmat.t
+(** The dense small-signal system [G + jwC] at angular frequency
+    [omega], one complex add per {!Stamps.pencil} entry (sources
+    contribute nothing: excitations are separate RHS vectors). The
+    dense oracle path of the sweeps, the probes and the noise
+    analysis; callers linearise once per sweep and pass the
+    primitives in. *)
 
 val factor_at :
   ?gmin:float -> op:Dcop.t -> omega:float -> Mna.t -> Numerics.Cmat.factor

@@ -2,14 +2,15 @@ open Numerics
 
 (* A compiled AC solve plan (DESIGN.md "AC solve pipeline").
 
-   The small-signal MNA system of a linear(ised) circuit is
+   The small-signal MNA system of a linear(ised) circuit is the pencil
        A(w) = G + jw C
-   where G collects every frequency-independent stamp (conductances,
-   transconductances, controlled-source gains, source/inductor incidence
-   rows, gmin) and C every reactive coefficient (capacitances, negated
-   inductances and mutuals). Both share one sparsity pattern, and that
-   pattern does not depend on frequency. Compiling the pattern once per
-   sweep turns each frequency point into
+   that [Stamps.pencil] defines: G collects every frequency-independent
+   stamp (conductances, transconductances, controlled-source gains,
+   source/inductor incidence rows, gmin) and C every reactive
+   coefficient (capacitances, negated inductances and mutuals). The plan
+   sums the pencil's entries into CSC arrays. G and C share one sparsity
+   pattern, and that pattern does not depend on frequency. Compiling the
+   pattern once per sweep turns each frequency point into
      - an O(nnz) numeric fill of the shared CSC skeleton, and
      - one numeric refactorisation along the frozen symbolic analysis,
    with no dense matrix and no per-point triplet harvesting. One factor
@@ -50,7 +51,6 @@ type t = {
   sym : Scmat.symbolic;    (* frozen ordering + fill-in pattern *)
 }
 
-let size t = t.size
 let nnz t = t.colptr.(t.size)
 
 (* Below this unknown count the dense path's simplicity wins over plan
@@ -71,12 +71,11 @@ let pivot_tol = 1e-6
 let compile ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op mna =
   let t_compile = Obs.Span.enter () in
   let size = mna.Mna.size in
-  (* Accumulate (g, c) per matrix entry; ground (-1) rows/columns drop. *)
+  (* Accumulate the pencil's (g, c) per matrix entry. *)
   let tbl : (int, float ref * float ref) Hashtbl.t =
     Hashtbl.create (4 * size)
   in
-  let add i j g c =
-    if i >= 0 && j >= 0 then begin
+  Stamps.pencil mna (Linearize.of_op op) ~gmin (fun i j g c ->
       let key = (j * size) + i in
       let gr, cr =
         match Hashtbl.find_opt tbl key with
@@ -87,64 +86,7 @@ let compile ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op mna =
           cell
       in
       gr := !gr +. g;
-      cr := !cr +. c
-    end
-  in
-  let quad i j g c =
-    add i i g c;
-    add j j g c;
-    add i j (-.g) (-.c);
-    add j i (-.g) (-.c)
-  in
-  let incidence i j br =
-    add i br 1. 0.;
-    add j br (-1.) 0.;
-    add br i 1. 0.;
-    add br j (-1.) 0.
-  in
-  Array.iter
-    (fun (_, e) ->
-      match e with
-      | Mna.E_res { i; j; g } -> quad i j g 0.
-      | Mna.E_cap { i; j; c; _ } -> quad i j 0. c
-      | Mna.E_ind { i; j; l; br; _ } ->
-        incidence i j br;
-        add br br 0. (-.l)
-      | Mna.E_vsrc { i; j; br; _ } -> incidence i j br
-      | Mna.E_isrc _ -> ()
-      | Mna.E_vcvs { i; j; ci; cj; br; gain } ->
-        incidence i j br;
-        add br ci (-.gain) 0.;
-        add br cj gain 0.
-      | Mna.E_vccs { i; j; ci; cj; gm } ->
-        add i ci gm 0.;
-        add i cj (-.gm) 0.;
-        add j ci (-.gm) 0.;
-        add j cj gm 0.
-      | Mna.E_cccs { i; j; cbr; gain } ->
-        add i cbr gain 0.;
-        add j cbr (-.gain) 0.
-      | Mna.E_ccvs { i; j; cbr; br; rm } ->
-        incidence i j br;
-        add br cbr (-.rm) 0.
-      | Mna.E_mut { br1; br2; m } ->
-        add br1 br2 0. (-.m);
-        add br2 br1 0. (-.m)
-      | Mna.E_diode _ | Mna.E_bjt _ | Mna.E_mos _ -> ())
-    mna.Mna.elems;
-  List.iter
-    (function
-      | Linearize.L_g { i; j; g } -> quad i j g 0.
-      | Linearize.L_c { i; j; c } -> quad i j 0. c
-      | Linearize.L_quad { out_p; out_m; ctrl_p; ctrl_m; gm } ->
-        add out_p ctrl_p gm 0.;
-        add out_p ctrl_m (-.gm) 0.;
-        add out_m ctrl_p (-.gm) 0.;
-        add out_m ctrl_m gm 0.)
-    (Linearize.of_op op);
-  for i = 0 to mna.Mna.n_nodes - 1 do
-    add i i gmin 0.
-  done;
+      cr := !cr +. c);
   (* Flatten to CSC, columns then rows ascending. *)
   let entries =
     Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
@@ -200,20 +142,6 @@ let factor_of t a =
       snd (Scmat.analyze a)
   in
   Obs.Counter.incr n_numeric;
-  f
-
-(* Sampled health of a factorisation: a Hager/Higham rcond estimate
-   (a handful of extra solves on the factor we already hold) plus
-   element growth; the residual is only known to callers that solve. *)
-let factor_health ?meter a f =
-  let rcond = Cond.rcond (Cond.sparse a f) in
-  let growth = Scmat.pivot_growth a f in
-  Health.record ?meter ~rcond ~growth ~residual:0. ()
-
-let factor_at ?health t ~omega =
-  let a = matrix_at t ~omega in
-  let f = factor_of t a in
-  if Health.tick () then factor_health ?meter:health a f;
   f
 
 let mag_inf v =

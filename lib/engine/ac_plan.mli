@@ -1,10 +1,10 @@
 (** Compiled AC solve plan: the fast path of the sweep pipeline.
 
-    Compiles {!Mna.elems} plus the linearised DC-operating-point
-    primitives once into a frequency-parameterised sparse skeleton — a
-    constant conductance part [G] and a reactive part [C] sharing one
-    precomputed CSC pattern, so the system at angular frequency [w] is
-    [G + jwC]. Each frequency point of a sweep then costs an O(nnz)
+    Sums the small-signal pencil of {!Stamps.pencil} ({!Mna.elems} plus
+    the linearised DC-operating-point primitives) once into a
+    frequency-parameterised sparse skeleton — a constant conductance
+    part [G] and a reactive part [C] sharing one precomputed CSC
+    pattern, so the system at angular frequency [w] is [G + jwC]. Each frequency point of a sweep then costs an O(nnz)
     numeric fill plus one numeric refactorisation along a symbolic
     analysis computed once per plan; one factor serves every probed node
     at that frequency through a multi-RHS batch solve.
@@ -21,9 +21,6 @@ val compile : ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> Mna.t -> t
     any in-band frequency works — frequencies where the frozen order
     goes numerically stale re-pivot automatically. *)
 
-val size : t -> int
-val nnz : t -> int
-
 val dense_cutoff : int
 (** Unknown count at or below which callers should prefer the dense
     oracle path over plan compilation. *)
@@ -32,20 +29,17 @@ val matrix_at : t -> omega:float -> Numerics.Scmat.t
 (** Numeric fill [G + jwC] of the shared pattern (O(nnz); fresh value
     array per call, pattern arrays shared). *)
 
-val factor_at : ?health:Health.meter -> t -> omega:float -> Numerics.Scmat.factor
-(** One numeric refactorisation at [omega], falling back to a fresh
-    pivoting factorisation when the frozen pivot order is numerically
-    inadequate at this frequency (counted in {!totals}). With [health],
-    sampled factorisations (see {!Health.tick}) record an rcond estimate
-    and pivot growth. *)
-
 val solve_many :
   ?health:Health.meter ->
   t -> omega:float -> Complex.t array array -> Complex.t array array
 (** One factorisation, many right-hand sides: the batched probing
-    solve. [solve_many t ~omega bs] factors once and solves every
-    excitation of [bs]. With [health], sampled points additionally
-    record a scaled residual of the first right-hand side. *)
+    solve. [solve_many t ~omega bs] runs one numeric refactorisation at
+    [omega], falling back to a fresh pivoting factorisation when the
+    frozen pivot order is numerically inadequate at this frequency
+    (counted in {!totals}), and solves every excitation of [bs]. With
+    [health], sampled points (see {!Health.tick}) record an rcond
+    estimate, pivot growth and a scaled residual of the first
+    right-hand side. *)
 
 val solve :
   ?health:Health.meter -> t -> omega:float -> Complex.t array ->
@@ -53,8 +47,8 @@ val solve :
 
 val pivot_tol : float
 (** Relative pivot floor under which a frozen pivot order is declared
-    stale for a frequency point ({!factor_at} then falls back to a fresh
-    pivoting factorisation). Exported so {!Engine.Kernel} applies the
+    stale for a frequency point ({!solve_many} then falls back to a
+    fresh pivoting factorisation). Exported so {!Engine.Kernel} applies the
     identical stale-pivot test on its flattened schedule. *)
 
 val skeleton : t -> int array * int array * float array * float array

@@ -190,64 +190,26 @@ let is_linear mna =
       | _ -> true)
     mna.Mna.elems
 
-(* Mirror of [attempt]'s static stamps as sparse triplets: resistors and
-   controlled sources via [Stamps.stamp_static]'s conventions, inductors
-   as DC shorts, gmin on the node diagonal. Capacitors and mutual
-   inductances carry no DC stamp. Returns [None] (caller falls back to
-   dense Newton) on a singular or non-finite solve. *)
+(* The DC matrix of a linear circuit is the pencil's G (capacitors and
+   mutual inductances open, inductors shorted by their branch rows, gmin
+   on the node diagonal), harvested as sparse triplets; the right-hand
+   side carries the V and I sources' DC values. Returns [None] (caller
+   falls back to dense Newton) on a singular or non-finite solve. *)
 let sparse_linear_attempt mna opts =
   let size = mna.Mna.size in
-  let b = Array.make size 0. in
   let ts = ref [] in
-  let add i j v = if i >= 0 && j >= 0 && v <> 0. then ts := (i, j, v) :: !ts in
-  let add_g i j g =
-    add i i g;
-    add j j g;
-    add i j (-.g);
-    add j i (-.g)
-  in
-  let add_branch i j br =
-    add i br 1.;
-    add j br (-1.);
-    add br i 1.;
-    add br j (-1.)
-  in
-  let rhs i v = if i >= 0 then b.(i) <- b.(i) +. v in
+  Stamps.pencil mna [] ~gmin:opts.gmin (fun i j g _ ->
+      if g <> 0. then ts := (i, j, g) :: !ts);
+  let b = Array.make size 0. in
   Array.iter
     (fun (_, e) ->
       match e with
-      | Mna.E_res { i; j; g } -> add_g i j g
-      | Mna.E_cap _ | Mna.E_mut _ -> ()
-      | Mna.E_ind { i; j; br; _ } -> add_branch i j br
-      | Mna.E_vsrc { i; j; br; spec } ->
-        add_branch i j br;
-        rhs br spec.Circuit.Netlist.dc
+      | Mna.E_vsrc { br; spec; _ } -> Mna.stamp_rhs b br spec.dc
       | Mna.E_isrc { i; j; spec } ->
-        let v = spec.Circuit.Netlist.dc in
-        rhs i (-.v);
-        rhs j v
-      | Mna.E_vcvs { i; j; ci; cj; br; gain } ->
-        add_branch i j br;
-        add br ci (-.gain);
-        add br cj gain
-      | Mna.E_vccs { i; j; ci; cj; gm } ->
-        add i ci gm;
-        add i cj (-.gm);
-        add j ci (-.gm);
-        add j cj gm
-      | Mna.E_cccs { i; j; cbr; gain } ->
-        add i cbr gain;
-        add j cbr (-.gain)
-      | Mna.E_ccvs { i; j; cbr; br; rm } ->
-        add_branch i j br;
-        add br cbr (-.rm)
-      | Mna.E_diode _ | Mna.E_bjt _ | Mna.E_mos _ ->
-        (* [is_linear] gates this path. *)
-        assert false)
+        Mna.stamp_rhs b i (-.spec.dc);
+        Mna.stamp_rhs b j spec.dc
+      | _ -> ())
     mna.Mna.elems;
-  for i = 0 to mna.Mna.n_nodes - 1 do
-    add i i opts.gmin
-  done;
   match
     let a = Numerics.Srmat.of_triplets ~rows:size ~cols:size !ts in
     let x = Numerics.Srmat.lu_solve (Numerics.Srmat.lu_factor a) b in

@@ -1,4 +1,4 @@
-type prim =
+type prim = Stamps.prim =
   | L_g of { i : int; j : int; g : float }
   | L_quad of { out_p : int; out_m : int; ctrl_p : int; ctrl_m : int;
                 gm : float }

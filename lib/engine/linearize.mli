@@ -3,9 +3,9 @@
 
     Produces a list of linear primitives (conductances, transconductance
     quads and capacitances) equivalent to each diode/BJT/MOSFET around the
-    bias point. The AC analysis stamps these; tests can inspect them. *)
+    bias point. {!Stamps.pencil} stamps these into G + sC. *)
 
-type prim =
+type prim = Stamps.prim =
   | L_g of { i : int; j : int; g : float }
       (** conductance between nodes [i], [j] (-1 = ground) *)
   | L_quad of { out_p : int; out_m : int; ctrl_p : int; ctrl_m : int;
@@ -16,9 +16,5 @@ type prim =
 
 val of_op : Dcop.t -> prim list
 (** Primitives for every nonlinear device of the circuit at the given
-    operating point. Linear devices are not included (the AC analysis
+    operating point. Linear devices are not included ({!Stamps.pencil}
     stamps them directly). *)
-
-val device_prims :
-  temp_c:float -> x:float array -> Mna.elem -> prim list
-(** Primitives of a single compiled element (empty for linear elements). *)

@@ -206,9 +206,10 @@ let structural_pattern ?(gmin = true) t =
   in
   (* Footprint of every stamp the DC, transient and AC analyses may
      write. Semiconductor devices use their full terminal block (the
-     small-signal primitives of Linearize land inside it), which can only
-     overestimate the pattern — safe for structural-rank prediction: an
-     extra entry can hide a deficiency but never invent one. *)
+     small-signal primitives Stamps.pencil stamps land inside it), which
+     can only overestimate the pattern — safe for structural-rank
+     prediction: an extra entry can hide a deficiency but never invent
+     one. *)
   Array.iter
     (fun (_, e) ->
       match e with
@@ -259,14 +260,5 @@ let stamp_g m i j g =
   stamp_mat m j i (-.g)
 
 let stamp_rhs rhs i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v
-
-let stamp_mat_c m i j v =
-  if i >= 0 && j >= 0 then Numerics.Cmat.add_to m i j v
-
-let stamp_gc m i j g =
-  stamp_mat_c m i i g;
-  stamp_mat_c m j j g;
-  stamp_mat_c m i j (Complex.neg g);
-  stamp_mat_c m j i (Complex.neg g)
 
 let stamp_rhs_c rhs i v = if i >= 0 then rhs.(i) <- Complex.add rhs.(i) v

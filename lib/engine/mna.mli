@@ -82,6 +82,4 @@ val stamp_rhs : float array -> int -> float -> unit
 val stamp_mat : Numerics.Rmat.t -> int -> int -> float -> unit
 (** Raw matrix add at (row, col), skipping ground rows/columns. *)
 
-val stamp_gc : Numerics.Cmat.t -> int -> int -> Complex.t -> unit
 val stamp_rhs_c : Complex.t array -> int -> Complex.t -> unit
-val stamp_mat_c : Numerics.Cmat.t -> int -> int -> Complex.t -> unit

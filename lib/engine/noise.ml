@@ -97,15 +97,13 @@ let run_compiled ?(gmin = 1e-12) ~sweep ~output ~op mna =
   let per_source = List.map (fun s -> (s, Array.make nf 0.)) srcs in
   let total = Array.make nf 0. in
   let size = mna.Mna.size in
+  let prims = Linearize.of_op op in
   Array.iteri
     (fun fk f ->
       let omega = 2. *. Float.pi *. f in
       (* Adjoint method: y = A^-T e_out gives the transfer from a unit
          current injected between any node pair as (y_j - y_i). *)
-      let prims = Linearize.of_op op in
-      let a = Cmat.create size size in
-      Ac.matrix_at mna prims ~gmin ~w:omega a;
-      let at = Cmat.transpose a in
+      let at = Cmat.transpose (Ac.matrix_at mna prims ~gmin ~omega) in
       let lu = Cmat.lu_factor at in
       let e_out = Array.make size Cx.zero in
       e_out.(out_idx) <- Cx.one;

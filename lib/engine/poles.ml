@@ -6,80 +6,14 @@ type pole = {
   zeta : float;
 }
 
-(* Split the small-signal system into the pencil G + sC: everything the AC
-   stamper multiplies by jw goes into C, the rest into G. *)
+(* The pencil G + sC as two dense real matrices. *)
 let system_matrices ?(gmin = 1e-12) (op : Dcop.t) =
   let mna = op.Dcop.mna in
   let size = mna.Mna.size in
   let g = Rmat.create size size and c = Rmat.create size size in
-  let stamp_g2 i j v =
-    Mna.stamp_mat g i i v;
-    Mna.stamp_mat g j j v;
-    Mna.stamp_mat g i j (-.v);
-    Mna.stamp_mat g j i (-.v)
-  in
-  let stamp_c2 i j v =
-    Mna.stamp_mat c i i v;
-    Mna.stamp_mat c j j v;
-    Mna.stamp_mat c i j (-.v);
-    Mna.stamp_mat c j i (-.v)
-  in
-  Array.iter
-    (fun (_, e) ->
-      match e with
-      | Mna.E_res { i; j; g = gv } -> stamp_g2 i j gv
-      | Mna.E_cap { i; j; c = cv; _ } -> stamp_c2 i j cv
-      | Mna.E_ind { i; j; l; br; _ } ->
-        Mna.stamp_mat g i br 1.;
-        Mna.stamp_mat g j br (-1.);
-        Mna.stamp_mat g br i 1.;
-        Mna.stamp_mat g br j (-1.);
-        Mna.stamp_mat c br br (-.l)
-      | Mna.E_vsrc { i; j; br; _ } ->
-        Mna.stamp_mat g i br 1.;
-        Mna.stamp_mat g j br (-1.);
-        Mna.stamp_mat g br i 1.;
-        Mna.stamp_mat g br j (-1.)
-      | Mna.E_isrc _ -> ()
-      | Mna.E_vcvs { i; j; ci; cj; br; gain } ->
-        Mna.stamp_mat g i br 1.;
-        Mna.stamp_mat g j br (-1.);
-        Mna.stamp_mat g br i 1.;
-        Mna.stamp_mat g br j (-1.);
-        Mna.stamp_mat g br ci (-.gain);
-        Mna.stamp_mat g br cj gain
-      | Mna.E_vccs { i; j; ci; cj; gm } ->
-        Mna.stamp_mat g i ci gm;
-        Mna.stamp_mat g i cj (-.gm);
-        Mna.stamp_mat g j ci (-.gm);
-        Mna.stamp_mat g j cj gm
-      | Mna.E_cccs { i; j; cbr; gain } ->
-        Mna.stamp_mat g i cbr gain;
-        Mna.stamp_mat g j cbr (-.gain)
-      | Mna.E_ccvs { i; j; cbr; br; rm } ->
-        Mna.stamp_mat g i br 1.;
-        Mna.stamp_mat g j br (-1.);
-        Mna.stamp_mat g br i 1.;
-        Mna.stamp_mat g br j (-1.);
-        Mna.stamp_mat g br cbr (-.rm)
-      | Mna.E_mut { br1; br2; m } ->
-        Mna.stamp_mat c br1 br2 (-.m);
-        Mna.stamp_mat c br2 br1 (-.m)
-      | Mna.E_diode _ | Mna.E_bjt _ | Mna.E_mos _ -> ())
-    mna.Mna.elems;
-  List.iter
-    (function
-      | Linearize.L_g { i; j; g = gv } -> stamp_g2 i j gv
-      | Linearize.L_c { i; j; c = cv } -> stamp_c2 i j cv
-      | Linearize.L_quad { out_p; out_m; ctrl_p; ctrl_m; gm } ->
-        Mna.stamp_mat g out_p ctrl_p gm;
-        Mna.stamp_mat g out_p ctrl_m (-.gm);
-        Mna.stamp_mat g out_m ctrl_p (-.gm);
-        Mna.stamp_mat g out_m ctrl_m gm)
-    (Linearize.of_op op);
-  for i = 0 to mna.Mna.n_nodes - 1 do
-    Rmat.add_to g i i gmin
-  done;
+  Stamps.pencil mna (Linearize.of_op op) ~gmin (fun i j gv cv ->
+      Rmat.add_to g i j gv;
+      Rmat.add_to c i j cv);
   (g, c)
 
 let compute ?gmin ?(max_hz = 1e12) op =

@@ -1,11 +1,13 @@
 (** Exact small-signal pole analysis.
 
-    The linearised circuit is the matrix pencil [G + s C] (conductances and
-    transconductances in G, capacitances and inductances in C). Its finite
-    generalised eigenvalues are the natural frequencies of the whole
-    system — every pole of every loop at once. This is the ground truth the
-    stability plot estimates one node at a time, so the two cross-validate
-    each other (and do, in the test suite). *)
+    The linearised circuit is the matrix pencil [G + s C] of
+    {!Stamps.pencil} (conductances and transconductances in G,
+    capacitances and inductances in C), the same stamps the AC sweeps
+    solve. Its finite generalised eigenvalues are the natural
+    frequencies of the whole system — every pole of every loop at once.
+    This is the ground truth the stability plot estimates one node at a
+    time, so the two cross-validate each other (and do, in the test
+    suite). *)
 
 type pole = {
   s : Complex.t;            (** pole location, rad/s *)

@@ -1,12 +1,29 @@
-(** Element stamping shared by the DC and transient analyses.
+(** Element stamping, shared by every analysis.
 
-    Real-valued MNA stamps. Capacitors and inductors are handled by the
-    caller (open/short at DC, companion models in transient); everything
-    else stamps identically in both analyses, with independent-source
-    values supplied by a caller-provided valuation so DC can scale sources
-    (source stepping) and transient can evaluate waveforms at time t. *)
+    Two families. [stamp_static], [stamp_nonlinear] and [stamp_gmin]
+    write the real-valued MNA system of the DC Newton and transient
+    iterations: capacitors and inductors are handled by the caller
+    (open/short at DC, companion models in transient), and
+    independent-source values come from a caller-provided valuation so
+    DC can scale sources (source stepping) and transient can evaluate
+    waveforms at time t.
+
+    [pencil] is the small-signal system G + sC linearised at an
+    operating point, the one definition every AC-side solver folds:
+    the dense oracle, the compiled plan, the pole analysis and the DC
+    solver's sparse path for linear circuits (at s = 0 the pencil is
+    the DC matrix). *)
 
 open Mna
+
+(* Small-signal primitives of a junction device at an operating point,
+   built by [Linearize] (which re-exports this type) and stamped by
+   [pencil]. *)
+type prim =
+  | L_g of { i : int; j : int; g : float }
+  | L_quad of { out_p : int; out_m : int; ctrl_p : int; ctrl_m : int;
+                gm : float }
+  | L_c of { i : int; j : int; c : float }
 
 (* Junction-limiting state: two slots per element (vbe/vbc for BJTs, vd for
    diodes). Initialised near a forward-biased junction so the first Newton
@@ -157,4 +174,71 @@ let stamp_nonlinear mna ~x ~limst a b =
 let stamp_gmin mna ~gmin a =
   for i = 0 to mna.n_nodes - 1 do
     Numerics.Rmat.add_to a i i gmin
+  done
+
+(* The pencil G + sC: [f i j g c] once per stamp entry, g into G(i, j)
+   and c into C(i, j), in a fixed order -- [mna.elems] in order, then the
+   linearised [prims], then gmin on the node diagonals -- with ground
+   rows and columns dropped. Every entry carries both parts, so a caller
+   that keeps only one of them also sees the +-0.0 a resistor adds to C
+   or a capacitor to G. An accumulator that starts at +0.0 is never
+   -0.0, and adding +-0.0 leaves its bits alone, so such a caller sums
+   exactly what a G-only or C-only stamp would. *)
+let pencil mna prims ~gmin f =
+  let add i j g c = if i >= 0 && j >= 0 then f i j g c in
+  let quad i j g c =
+    add i i g c;
+    add j j g c;
+    add i j (-.g) (-.c);
+    add j i (-.g) (-.c)
+  in
+  let incidence i j br =
+    add i br 1. 0.;
+    add j br (-1.) 0.;
+    add br i 1. 0.;
+    add br j (-1.) 0.
+  in
+  (* Current gm * (v cp - v cm) out of node p, back in at node m. *)
+  let vccs p m cp cm gm =
+    add p cp gm 0.;
+    add p cm (-.gm) 0.;
+    add m cp (-.gm) 0.;
+    add m cm gm 0.
+  in
+  Array.iter
+    (fun (_, e) ->
+      match e with
+      | E_res { i; j; g } -> quad i j g 0.
+      | E_cap { i; j; c; _ } -> quad i j 0. c
+      | E_ind { i; j; l; br; _ } ->
+        incidence i j br;
+        add br br 0. (-.l)
+      | E_vsrc { i; j; br; _ } -> incidence i j br
+      | E_vcvs { i; j; ci; cj; br; gain } ->
+        incidence i j br;
+        add br ci (-.gain) 0.;
+        add br cj gain 0.
+      | E_vccs { i; j; ci; cj; gm } -> vccs i j ci cj gm
+      | E_cccs { i; j; cbr; gain } ->
+        add i cbr gain 0.;
+        add j cbr (-.gain) 0.
+      | E_ccvs { i; j; cbr; br; rm } ->
+        incidence i j br;
+        add br cbr (-.rm) 0.
+      | E_mut { br1; br2; m } ->
+        (* v1 includes sM i2 and v2 includes sM i1. *)
+        add br1 br2 0. (-.m);
+        add br2 br1 0. (-.m)
+      | E_isrc _ (* excitation only *)
+      | E_diode _ | E_bjt _ | E_mos _ (* through [prims] *) -> ())
+    mna.elems;
+  List.iter
+    (function
+      | L_g { i; j; g } -> quad i j g 0.
+      | L_c { i; j; c } -> quad i j 0. c
+      | L_quad { out_p; out_m; ctrl_p; ctrl_m; gm } ->
+        vccs out_p out_m ctrl_p ctrl_m gm)
+    prims;
+  for i = 0 to mna.n_nodes - 1 do
+    f i i gmin 0.
   done

@@ -42,27 +42,10 @@ type event = {
 
 let schema = "acstab-log/1"
 
-(* ---- NDJSON rendering (self-contained: obs sits below Tool.Json) ---- *)
-
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* ---- NDJSON rendering ---- *)
 
 let add_value b = function
-  | Str s ->
-    Buffer.add_char b '"';
-    escape b s;
-    Buffer.add_char b '"'
+  | Str s -> Json_string.add_quoted b s
   | Int n -> Buffer.add_string b (string_of_int n)
   | Float f ->
     if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
@@ -73,14 +56,13 @@ let line_of e =
   let b = Buffer.create 128 in
   Buffer.add_string b (Printf.sprintf "{\"ts_ns\":%d,\"seq\":%d" e.ts_ns e.seq);
   Buffer.add_string b (Printf.sprintf ",\"level\":%S" (level_name e.level));
-  Buffer.add_string b ",\"event\":\"";
-  escape b e.name;
-  Buffer.add_char b '"';
+  Buffer.add_string b ",\"event\":";
+  Json_string.add_quoted b e.name;
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b ",\"";
-      escape b k;
-      Buffer.add_string b "\":";
+      Buffer.add_char b ',';
+      Json_string.add_quoted b k;
+      Buffer.add_char b ':';
       add_value b v)
     e.fields;
   Buffer.add_char b '}';

@@ -5,28 +5,12 @@
    Hand-rolled emission: values are only strings and ints, no JSON
    dependency needed. *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_args buf args =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Json_string.add_quoted buf k;
       Buffer.add_char buf ':';
       Buffer.add_string buf (string_of_int v))
     args;
@@ -36,7 +20,7 @@ let us_of_ns ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e3)
 
 let add_span buf (e : Span.event) =
   Buffer.add_string buf "{\"name\":";
-  add_json_string buf e.name;
+  Json_string.add_quoted buf e.name;
   Buffer.add_string buf ",\"cat\":\"acstab\",\"ph\":\"X\",\"pid\":1,\"tid\":";
   Buffer.add_string buf (string_of_int e.tid);
   Buffer.add_string buf ",\"ts\":";
@@ -51,7 +35,7 @@ let add_span buf (e : Span.event) =
 
 let add_counter buf ~ts_ns (name, v) =
   Buffer.add_string buf "{\"name\":";
-  add_json_string buf name;
+  Json_string.add_quoted buf name;
   Buffer.add_string buf ",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":";
   Buffer.add_string buf (us_of_ns ts_ns);
   Buffer.add_string buf ",\"args\":{\"value\":";
@@ -64,7 +48,7 @@ let add_float buf v =
 
 let add_histogram buf ~ts_ns (name, (s : Histogram.summary)) =
   Buffer.add_string buf "{\"name\":";
-  add_json_string buf ("hist:" ^ name);
+  Json_string.add_quoted buf ("hist:" ^ name);
   Buffer.add_string buf ",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":";
   Buffer.add_string buf (us_of_ns ts_ns);
   Buffer.add_string buf ",\"args\":{\"count\":";

@@ -129,6 +129,13 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   let bs =
     Array.of_list (List.map (fun (_, i, _) -> excitation size i) per_node)
   in
+  (* The dense path stamps the pencil afresh at every point; the device
+     linearisation behind it is done once per sweep. *)
+  let prims =
+    match backend with
+    | `Dense -> Engine.Linearize.of_op t.op
+    | `Sparse | `Plan | `Kernel -> []
+  in
   let run_point fk =
     let omega = 2. *. Float.pi *. freqs.(fk) in
     match (backend, plan) with
@@ -166,7 +173,7 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
          chunked below. *)
       assert false
     | `Dense, _ | _, None ->
-      let a = Engine.Ac.matrix_of ~gmin ~op:t.op ~omega t.mna in
+      let a = Engine.Ac.matrix_at t.mna prims ~gmin ~omega in
       let lu = Cmat.lu_factor a in
       List.iteri
         (fun q (_, i, out) -> out.(fk) <- (Cmat.lu_solve lu bs.(q)).(i))

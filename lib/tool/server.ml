@@ -412,30 +412,50 @@ let dispatch state ?id v =
     (error_response ?id ~code:2 (Printf.sprintf "unknown cmd %S" c), `Go)
   | None -> (error_response ?id ~code:2 "request needs \"cmd\"", `Go)
 
+(* A connection whose unterminated line grows past this many bytes is
+   answered a code-2 error and closed: without a bound one client could
+   grow the daemon's memory until the machine runs out. Real requests
+   stay far below it; a 10 001-unknown synthetic mesh sent inline is
+   654 KiB. *)
+let max_line_bytes = 16 * 1024 * 1024
+
 (* Per-request instrumentation around [dispatch]: counters, the
    latency histogram, the request-id stitched into the response, one
    event-log line per request (outcome, latency, cache verdict), and
    the slow-request span dump. [`Stop] tells the serve loop to finish
-   writing and exit. *)
-let handle state line =
+   writing and exit, [`Close] to close this connection. *)
+let handle state request =
   Obs.Counter.incr n_requests;
   let rid = next_request_id () in
   let infl = 1 + Atomic.fetch_and_add inflight 1 in
   Obs.Counter.record_max inflight_hw infl;
   let t0 = Obs.Clock.now_ns () in
   let span = Obs.Span.enter () in
-  let parsed = Json.of_string line in
-  let response, verdict =
-    match parsed with
-    | Error e ->
-      (* Malformed NDJSON (a half-written line, say) still gets a
-         structured error carrying the client's "id" when one can be
-         salvaged from the broken text — so a pipelining client can
-         correlate the failure — and never kills the connection. *)
-      let id = Json.salvage_member "id" line in
-      (error_response ?id ~code:2 (Printf.sprintf "bad request JSON: %s" e),
-       `Go)
-    | Ok v -> dispatch state ?id:(Json.member "id" v) v
+  let cmd, (response, verdict) =
+    match request with
+    | `Too_long ->
+      ( "too_long",
+        ( error_response ~code:2
+            (Printf.sprintf
+               "request line exceeds %d bytes without a newline; closing \
+                the connection"
+               max_line_bytes),
+          `Close ) )
+    | `Line line ->
+      (match Json.of_string line with
+       | Error e ->
+         (* Malformed NDJSON (a half-written line, say) still gets a
+            structured error carrying the client's "id" when one can be
+            salvaged from the broken text — so a pipelining client can
+            correlate the failure — and never kills the connection. *)
+         let id = Json.salvage_member "id" line in
+         ( "malformed",
+           ( error_response ?id ~code:2
+               (Printf.sprintf "bad request JSON: %s" e),
+             `Go ) )
+       | Ok v ->
+         ( Option.value ~default:"?" (Json.mem_str "cmd" v),
+           dispatch state ?id:(Json.member "id" v) v ))
   in
   Obs.Span.leave "server.request" span;
   let t1 = Obs.Clock.now_ns () in
@@ -450,11 +470,6 @@ let handle state line =
     | other -> other
   in
   if Obs.Events.enabled () then begin
-    let cmd =
-      match parsed with
-      | Ok v -> Option.value ~default:"?" (Json.mem_str "cmd" v)
-      | Error _ -> "malformed"
-    in
     let fields =
       [ ("request_id", Obs.Events.Str rid); ("cmd", Obs.Events.Str cmd);
         ("ok", Obs.Events.Bool ok); ("ms", Obs.Events.Float ms) ]
@@ -502,16 +517,20 @@ let write_all fd s =
   in
   go 0
 
-(* Split [buf] into complete lines plus the unterminated remainder. *)
-let complete_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
+(* Append the [n] bytes just read to [pending] and return the lines they
+   complete. Only the new bytes are scanned for a newline, so a line
+   arriving over many reads costs linear copying, not quadratic. *)
+let complete_lines pending chunk n =
+  match Bytes.rindex_from_opt chunk (n - 1) '\n' with
+  | None ->
+    Buffer.add_subbytes pending chunk 0 n;
+    []
   | Some last ->
-    Buffer.clear buf;
-    Buffer.add_string buf
-      (String.sub s (last + 1) (String.length s - last - 1));
-    String.split_on_char '\n' (String.sub s 0 last)
+    Buffer.add_subbytes pending chunk 0 last;
+    let text = Buffer.contents pending in
+    Buffer.clear pending;
+    Buffer.add_subbytes pending chunk (last + 1) (n - last - 1);
+    String.split_on_char '\n' text
     |> List.filter (fun l -> String.trim l <> "")
 
 exception Stop_serving
@@ -546,6 +565,10 @@ let claim_socket socket =
 
 let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
     ?(tick_s = 1.0) ~socket () =
+  (* A client that hangs up before its answer must not take the daemon
+     with it: the write then fails with EPIPE, which closes that
+     connection only, instead of raising SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   claim_socket socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
@@ -614,10 +637,15 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
              match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
              | 0 -> close_conn c
              | n ->
-               Buffer.add_subbytes c.pending read_chunk 0 n;
                List.iter
-                 (fun line -> batch := (c, line) :: !batch)
-                 (complete_lines c.pending)
+                 (fun line -> batch := (c, `Line line) :: !batch)
+                 (complete_lines c.pending read_chunk n);
+               (* Past the bound the read held no newline, so nothing
+                  of this connection is in the batch yet. *)
+               if Buffer.length c.pending > max_line_bytes then begin
+                 Buffer.reset c.pending;
+                 batch := (c, `Too_long) :: !batch
+               end
              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
                close_conn c
              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -630,8 +658,8 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
          let t0 = Obs.Span.enter () in
          let responses =
            Parallel.Pool.map_list
-             (fun (c, line) ->
-               let response, verdict = handle state line in
+             (fun (c, request) ->
+               let response, verdict = handle state request in
                (c, response, verdict))
              batch
          in
@@ -642,7 +670,10 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
            (fun (c, response, verdict) ->
              (try write_all c.fd (Json.to_string response ^ "\n")
               with Unix.Unix_error _ -> close_conn c);
-             if verdict = `Stop then stop := true)
+             match verdict with
+             | `Go -> ()
+             | `Close -> close_conn c
+             | `Stop -> stop := true)
            responses;
          (* With --slow-ms on (and no client-driven capture running)
             spans exist only to feed the slow dumps, which have been

@@ -28,6 +28,11 @@
 val protocol_version : string
 (** ["acstab-serve/1"], echoed by [ping] and [stats]. *)
 
+val max_line_bytes : int
+(** 16 MiB. A connection whose unterminated request line grows past it
+    is answered one code-2 error and closed; the daemon keeps serving
+    the others. *)
+
 val serve :
   ?capacity:int ->
   ?log:string ->

@@ -14,6 +14,12 @@
      leaves an RC pole at 1.592 MHz, while inline it is a card and the
      deck an LC tank at 5.033 MHz (keys once held only the digest, so
      the second request got the first one's answer as a hit);
+   - a request line that passes [Server.max_line_bytes] without a
+     newline is answered one code-2 error and its connection closed,
+     while another client is still served (the buffer once grew without
+     bound);
+   - a client that hangs up before its answer leaves the daemon serving
+     (the answer's write once raised SIGPIPE and ended the process);
    - `acstab all-nodes` and `acstab lint` exit 2 on the self-including
      deck, with no uncaught-exception report. *)
 
@@ -168,6 +174,42 @@ let () =
   single "inline first" (inline "pole_b.sp") 5.033e6;
   single "then the same text as a file" (as_file "pole_b.sp") 1.592e6;
 
+  (* An over-long line, then a client that hangs up unanswered; the
+     first client's ping must be answered after each. *)
+  let raw () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+    fd
+  in
+  let long = raw () in
+  let chunk = Bytes.make 65536 'x' in
+  let rec send left =
+    if left > 0 then
+      send (left - Unix.write long chunk 0 (Int.min left (Bytes.length chunk)))
+  in
+  send (Tool.Server.max_line_bytes + 1);
+  let ic = Unix.in_channel_of_descr long in
+  (match Tool.Json.of_string (input_line ic) with
+   | Ok r
+     when Option.bind (Tool.Json.member "error" r) (Tool.Json.mem_int "code")
+          = Some 2 -> ()
+   | Ok r -> fail "over-long line: %s" (Tool.Json.to_string r)
+   | Error e -> fail "over-long line: bad answer JSON: %s" e
+   | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
+     fail "over-long line: no answer");
+  (match input_line ic with
+   | exception End_of_file -> ()
+   | _ | (exception (Sys_error _ | Sys_blocked_io)) ->
+     fail "over-long line: the connection stayed open");
+  close_in ic;
+  ping ();
+  let gone = raw () in
+  let line = "{\"cmd\":\"metrics\"}\n" in
+  ignore (Unix.write_substring gone line 0 (String.length line));
+  Unix.close gone;
+  ping ();
+
   ignore (request [ ("cmd", str "shutdown") ]);
   Tool.Server.Client.close c;
   Thread.join server;
@@ -198,5 +240,6 @@ let () =
     "serve-fault: OK (self-including deck answered code 2 by \
      analyze/lint/loops with the daemon still serving, included-file edit \
      re-analyzed as a miss with the new f_n, one text answered per origin \
-     as a file and inline in both orders, CLI exits 2 on the \
-     self-including deck)"
+     as a file and inline in both orders, over-long line answered code 2 \
+     and closed, a hung-up client left the daemon serving, CLI exits 2 \
+     on the self-including deck)"

@@ -396,6 +396,69 @@ let prop_lint_predicts_singular =
       && (not healthy_singular)
       && broken_singular = broken_flagged && broken_singular)
 
+(* ---------- the lint footprint covers every stamp ---------- *)
+
+(* Lint's structural-singularity rule reasons over
+   [Mna.structural_pattern]; its prediction is sound only if every entry
+   a solver stamps lies inside that pattern. The AC, pole and DC-linear
+   solvers all stamp [Stamps.pencil], so fold it at the operating point
+   and look each entry up. No shipped deck has an F, H or D card, hence
+   the inline deck with one card of every kind. *)
+let every_kind =
+  "every element kind\nVCC vcc 0 DC 5\nV1 in 0 DC 1 AC 1\nR1 in a 1k\n\
+   C1 a 0 1n\nL1 a b 10u\nL2 b 0 22u\nK1 L1 L2 0.5\nR0 b 0 50\n\
+   I1 0 b DC 1m\nE1 c 0 a 0 2\nR2 c d 1k\nF1 d 0 V1 0.1\n\
+   G1 e 0 d 0 1m\nR3 e 0 1k\nH1 f 0 V1 100\nR4 f 0 1k\n\
+   RB1 vcc bq 10k\nRB2 bq 0 10k\nD1 bq dd DX\nRD dd 0 10k\n\
+   Q1 vcc bq q QNPN\nRQ q 0 10k\nM1 m bq 0 0 MN W=10u L=1u\nRM vcc m 10k\n\
+   .model DX d (is=10f cj=1p)\n\
+   .model QNPN npn (is=0.1f bf=150 vaf=80 cpi=1p cmu=80f ccs=150f)\n\
+   .model MN nmos (kp=100u vto=800m lambda=40m cox=2.3m cgso=300p \
+   cgdo=300p cbd=20f cbs=20f)\n.end\n"
+
+let test_pattern_covers_pencil () =
+  let card_letters =
+    List.map
+      (fun d -> Char.uppercase_ascii (Netlist.device_name d).[0])
+      (Netlist.devices (parse every_kind))
+    |> List.sort_uniq compare |> List.to_seq |> String.of_seq
+  in
+  Alcotest.(check string) "inline deck has every element kind"
+    "CDEFGHIKLMQRV" card_letters;
+  let decks =
+    List.map
+      (fun n -> (n, Parser.parse_file (Filename.concat "../circuits" n)))
+      shipped
+    @ [ ("opamp_2mhz_buffer", Workloads.Opamp_2mhz.buffer ());
+        ("bias_zero_tc", Workloads.Bias_zero_tc.cell ());
+        ("nmc_amp_buffer", Workloads.Nmc_amp.buffer ());
+        ("rc_ladder_20", Workloads.Ladder.rc ());
+        ("rc_mesh 4x5", Workloads.Synth.rc_mesh ~rows:4 ~cols:5 ());
+        ("rc_tree 3/3", Workloads.Synth.rc_tree ~depth:3 ~fanout:3 ());
+        ("amp_array 3", Workloads.Synth.amp_array ~stages:3 ());
+        ("every element kind", parse every_kind) ]
+  in
+  List.iter
+    (fun (name, circ) ->
+      let mna = Engine.Mna.compile circ in
+      let op = Engine.Dcop.solve mna in
+      let pattern = Hashtbl.create 256 in
+      List.iter
+        (fun ij -> Hashtbl.replace pattern ij ())
+        (Engine.Mna.structural_pattern mna);
+      let stamped = ref 0 in
+      Engine.Stamps.pencil mna (Engine.Linearize.of_op op) ~gmin:1e-12
+        (fun i j _ _ ->
+          incr stamped;
+          if not (Hashtbl.mem pattern (i, j)) then
+            Alcotest.failf "%s: the pencil stamps (%s, %s) outside the \
+                            lint footprint"
+              name (Engine.Mna.unknown_name mna i)
+              (Engine.Mna.unknown_name mna j));
+      Alcotest.(check bool) (name ^ " stamps its pencil") true
+        (!stamped > 0))
+    decks
+
 (* ---------- JSON ---------- *)
 
 let test_json () =
@@ -582,7 +645,9 @@ let () =
           Alcotest.test_case "singular names branch" `Quick
             test_dcop_singular_names_branch;
           Alcotest.test_case "explain_singular" `Quick
-            test_explain_singular ] );
+            test_explain_singular;
+          Alcotest.test_case "footprint covers the pencil" `Quick
+            test_pattern_covers_pencil ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_lint_predicts_singular ] );
