@@ -262,11 +262,13 @@ let backend_arg =
   Arg.(value
        & opt
            (enum
-              [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse);
-                ("plan", `Plan); ("kernel", `Kernel) ])
+              [ ("auto", `Auto); ("dense", `Dense); ("plan", `Plan);
+                ("kernel", `Kernel) ])
            `Auto
        & info [ "backend" ] ~docv:"NAME"
-           ~doc:"Linear-solver path: $(b,auto) (default), $(b,dense),                  $(b,sparse), $(b,plan), or $(b,kernel) (the compiled                  per-circuit solve kernel; identical numbers to                  $(b,plan), fastest dense sweeps).")
+           ~doc:"Linear-solver path: $(b,auto) (default), $(b,dense), \
+                 $(b,plan), or $(b,kernel) (the compiled per-circuit \
+                 solve kernel; identical numbers to $(b,plan)).")
 
 (* Tri-state parallel selector: the default Auto heuristic parallelises
    when the workload's volume warrants the pool; the flags force it. *)
@@ -1227,8 +1229,8 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Generate a parameterised synthetic benchmark deck (RC mesh, \
              RC tree, chained feedback amplifiers, RC ladder) sized from \
-             hundreds to tens of thousands of unknowns — the workloads \
-             behind the $(b,--scale) bench and BENCH_scale.json.")
+             hundreds to tens of thousands of unknowns, for scaling \
+             and seq = par checks on large decks.")
     Term.(const run $ log_term $ kind $ rows $ cols $ depth $ fanout
           $ stages $ sections $ output)
 

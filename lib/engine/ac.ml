@@ -38,18 +38,16 @@ let source_rhs mna b =
 let factor_at ?(gmin = 1e-12) ~op ~omega mna =
   Cmat.lu_factor (matrix_at mna (Linearize.of_op op) ~gmin ~omega)
 
-let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
-
 (* Sampled health for the dense per-point path; mirrors
-   [Ac_plan.solve_many]'s recording so node grades do not depend on the
-   backend chosen. *)
+   [Ac_plan.record_health] so node grades do not depend on the backend
+   chosen. *)
 let dense_health ?meter a f ~x ~b =
   let rcond = Cond.rcond (Cond.dense a f) in
   let growth = Cmat.pivot_growth a f in
   let residual =
     Health.relative_residual ~norm1:(Cmat.norm1 a)
-      ~residual_inf:(Cmat.residual_inf a x b) ~x_inf:(mag_inf x)
-      ~b_inf:(mag_inf b)
+      ~residual_inf:(Cmat.residual_inf a x b) ~x_inf:(Ac_plan.mag_inf x)
+      ~b_inf:(Ac_plan.mag_inf b)
   in
   Health.record ?meter ~rcond ~growth ~residual ()
 
@@ -79,13 +77,9 @@ let run_compiled ?op ?(gmin = 1e-12) ?backend ~sweep mna =
           x)
         freqs
     | (`Plan | `Kernel) as b ->
-      let omega_ref =
-        if Array.length freqs = 0 then 2e6 *. Float.pi
-        else
-          2. *. Float.pi
-          *. sqrt (freqs.(0) *. freqs.(Array.length freqs - 1))
+      let plan =
+        Ac_plan.compile ~gmin ~omega_ref:(Ac_plan.omega_ref freqs) ~op mna
       in
-      let plan = Ac_plan.compile ~gmin ~omega_ref ~op mna in
       (match b with
        | `Plan ->
          Array.map

@@ -50,9 +50,9 @@ val dense_health :
   ?meter:Health.meter -> Numerics.Cmat.t -> Numerics.Cmat.factor ->
   x:Complex.t array -> b:Complex.t array -> unit
 (** Record one sampled dense factorisation's health (rcond estimate,
-    pivot growth, scaled residual of [x] against [b]); mirrors the
-    recording done inside {!Ac_plan.solve_many} so node grades do not
-    depend on the backend. *)
+    pivot growth, scaled residual of [x] against [b]); mirrors
+    {!Ac_plan.record_health} so node grades do not depend on the
+    backend. *)
 
 val v : result -> Circuit.Netlist.node -> Waveform.Freq.t
 (** Node-voltage response across the sweep. Raises [Invalid_argument]

@@ -27,9 +27,9 @@ type totals = {
 (* Process-wide counters, registered with [Obs.Counter] so traces,
    [--metrics] summaries and diagnostics reports carry the same values
    the tests assert (atomic: the Domain-parallel sweep paths bump them
-   concurrently). Tests and the benchmark assert the "one symbolic
-   analysis per sweep, one numeric factorisation per frequency point"
-   contract from deltas of these. *)
+   concurrently). Tests assert the "one symbolic analysis per sweep,
+   one numeric factorisation per frequency point" contract from deltas
+   of these, and the benchmark reports them. *)
 let n_symbolic = Obs.Counter.make "acplan.symbolic"
 let n_numeric = Obs.Counter.make "acplan.numeric"
 let n_fallback = Obs.Counter.make "acplan.fallback"
@@ -65,6 +65,13 @@ let dense_cutoff = 10
    factorisation: bounds element growth (and thus the solve error) at
    ~1e6 while keeping fallbacks rare. *)
 let pivot_tol = 1e-6
+
+(* Mid-band reference frequency of a sweep, the geometric mean of its
+   end points: seeds the plan's pivot order. *)
+let omega_ref freqs =
+  if Array.length freqs = 0 then 2e6 *. Float.pi
+  else
+    2. *. Float.pi *. sqrt (freqs.(0) *. freqs.(Array.length freqs - 1))
 
 (* ---- skeleton compilation ---- *)
 
@@ -147,22 +154,28 @@ let factor_of t a =
 let mag_inf v =
   Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
 
+(* The one sampled-health recording for a sparse factor [f] of [a]:
+   rcond estimate, pivot growth, and the scaled residual of [x]
+   against [b]. The plan's solves, sampled kernel points and the
+   kernel's fallback factorisations all record through here. *)
+let record_health ?meter a f ~x ~b =
+  let rcond = Cond.rcond (Cond.sparse a f) in
+  let growth = Scmat.pivot_growth a f in
+  let residual =
+    Health.relative_residual ~norm1:(Scmat.norm1 a)
+      ~residual_inf:(Scmat.residual_inf a x b)
+      ~x_inf:(mag_inf x) ~b_inf:(mag_inf b)
+  in
+  Health.record ?meter ~rcond ~growth ~residual ()
+
 let solve_many ?health t ~omega bs =
   let a = matrix_at t ~omega in
   let f = factor_of t a in
   Obs.Counter.add n_rhs (Array.length bs);
   Obs.Counter.record_max rhs_batch_max (Array.length bs);
   let xs = Scmat.lu_solve_many f bs in
-  if Array.length bs > 0 && Health.tick () then begin
-    let rcond = Cond.rcond (Cond.sparse a f) in
-    let growth = Scmat.pivot_growth a f in
-    let residual =
-      Health.relative_residual ~norm1:(Scmat.norm1 a)
-        ~residual_inf:(Scmat.residual_inf a xs.(0) bs.(0))
-        ~x_inf:(mag_inf xs.(0)) ~b_inf:(mag_inf bs.(0))
-    in
-    Health.record ?meter:health ~rcond ~growth ~residual ()
-  end;
+  if Array.length bs > 0 && Health.tick () then
+    record_health ?meter:health a f ~x:xs.(0) ~b:bs.(0);
   xs
 
 let solve ?health t ~omega b = (solve_many ?health t ~omega [| b |]).(0)
@@ -186,11 +199,4 @@ let point_health ?meter t ~omega ~x ~b =
     try Scmat.refactor ~pivot_tol t.sym a
     with Sparse.Singular _ -> snd (Scmat.analyze a)
   in
-  let rcond = Cond.rcond (Cond.sparse a f) in
-  let growth = Scmat.pivot_growth a f in
-  let residual =
-    Health.relative_residual ~norm1:(Scmat.norm1 a)
-      ~residual_inf:(Scmat.residual_inf a x b)
-      ~x_inf:(mag_inf x) ~b_inf:(mag_inf b)
-  in
-  Health.record ?meter ~rcond ~growth ~residual ()
+  record_health ?meter a f ~x ~b

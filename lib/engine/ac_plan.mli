@@ -21,6 +21,12 @@ val compile : ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> Mna.t -> t
     any in-band frequency works — frequencies where the frozen order
     goes numerically stale re-pivot automatically. *)
 
+val omega_ref : float array -> float
+(** Mid-band reference frequency of a sweep's points: [2 pi] times the
+    geometric mean of the first and last frequency ([2 pi * 1 MHz] for
+    an empty sweep). Every sweep that compiles a plan seeds its pivot
+    order here. *)
+
 val dense_cutoff : int
 (** Unknown count at or below which callers should prefer the dense
     oracle path over plan compilation. *)
@@ -60,6 +66,19 @@ val symbolic : t -> Numerics.Scmat.symbolic
 (** The frozen one-per-plan symbolic analysis (same sharing caveat as
     {!skeleton}). *)
 
+val mag_inf : Complex.t array -> float
+(** Largest magnitude of a complex vector (the infinity norm the health
+    residuals are scaled by). *)
+
+val record_health :
+  ?meter:Health.meter -> Numerics.Scmat.t -> Numerics.Scmat.factor ->
+  x:Complex.t array -> b:Complex.t array -> unit
+(** Record one sampled sparse factorisation's health: an rcond
+    estimate, pivot growth and the scaled residual of solution [x]
+    against right-hand side [b]. Used by {!solve_many},
+    {!point_health} and the fallback factorisations of
+    {!Engine.Kernel}. *)
+
 val point_health :
   ?meter:Health.meter -> t -> omega:float -> x:Complex.t array ->
   b:Complex.t array -> unit
@@ -77,7 +96,7 @@ type totals = {
 
 val totals : unit -> totals
 (** Process-wide counters since start-up; take deltas around a sweep to
-    assert its factorisation budget (the benchmark and tests do). The
+    assert its factorisation budget (the tests do). The
     counters live in the [Obs.Counter] registry as [acplan.symbolic],
     [acplan.numeric], [acplan.fallback] and [acplan.rhs] (plus the
     high-water mark [acplan.rhs_batch_max]), so traces, [--metrics]

@@ -14,8 +14,8 @@ open Numerics
    program over preallocated unboxed float planes — no per-point CSC
    traversal, no closures, no allocation on the hot loop.
 
-   Bit-identity with the plan backend is a hard contract (the bench and
-   the qcheck suite assert it): every arithmetic step below replicates
+   Bit-identity with the plan backend is a hard contract (the test
+   suite asserts it): every arithmetic step below replicates
    the exact float operation sequence of [Scmat.refactor] /
    [Scmat.lu_solve] / [Scmat.lu_solve_many] over the stdlib [Complex]
    field — Smith's division, [Float.hypot] magnitudes, the
@@ -358,8 +358,6 @@ let solve_batch ws =
     end
   done
 
-let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
-
 (* One frequency point: flat factor + batched substitution, falling back
    to a fresh pivoting factorisation (the exact [Ac_plan.factor_of]
    fallback values) when the frozen order is stale here. Health is
@@ -381,16 +379,8 @@ let solve_point ?health ws ~omega =
     let a = Ac_plan.matrix_at ws.k.plan ~omega in
     let f = snd (Scmat.analyze a) in
     let xs = Scmat.lu_solve_many f ws.rhs in
-    if ws.m > 0 && Health.tick () then begin
-      let rcond = Cond.rcond (Cond.sparse a f) in
-      let growth = Scmat.pivot_growth a f in
-      let residual =
-        Health.relative_residual ~norm1:(Scmat.norm1 a)
-          ~residual_inf:(Scmat.residual_inf a xs.(0) ws.rhs.(0))
-          ~x_inf:(mag_inf xs.(0)) ~b_inf:(mag_inf ws.rhs.(0))
-      in
-      Health.record ?meter:health ~rcond ~growth ~residual ()
-    end;
+    if ws.m > 0 && Health.tick () then
+      Ac_plan.record_health ?meter:health a f ~x:xs.(0) ~b:ws.rhs.(0);
     `Fallback xs
   end
 

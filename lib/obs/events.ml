@@ -11,7 +11,7 @@
    Cost discipline mirrors {!Span}: emission is guarded by one atomic
    load, so an instrumented hot path with no sink configured and the
    ring disabled pays nothing and allocates nothing (asserted in the
-   bench smoke alongside the disabled-span budget). When enabled,
+   test suite alongside the disabled-span budget). When enabled,
    every event lands in a fixed-size lock-free ring (recent history
    for in-process consumers) and, if a sink is attached, is written
    through as one NDJSON line under a mutex — sinks are line-buffered

@@ -9,7 +9,7 @@
 
     Emission follows the same cost discipline as {!Span}: with no
     sink attached and the ring off, {!emit} returns after a single
-    atomic load and allocates nothing (bench-asserted), so hot paths
+    atomic load and allocates nothing (test-asserted), so hot paths
     may call it unconditionally. *)
 
 type level = Debug | Info | Warn | Error

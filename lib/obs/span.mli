@@ -2,7 +2,7 @@
 
     Tracing is off by default. When off, {!enter} returns [0] and
     {!leave} returns immediately, so instrumented hot paths pay one
-    atomic load and zero allocations (asserted in the bench smoke).
+    atomic load and zero allocations (asserted in the test suite).
     When on, each domain records into its own buffer; {!drain} merges
     all buffers into one timestamp-sorted list. *)
 

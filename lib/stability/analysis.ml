@@ -8,7 +8,7 @@ type options = {
   min_peak : float;
   dc_options : Engine.Dcop.options;
   parallel : [ `Auto | `Seq | `Par ];
-  backend : [ `Auto | `Dense | `Sparse | `Plan | `Kernel ];
+  backend : [ `Auto | `Dense | `Plan | `Kernel ];
 }
 
 let default_options =
@@ -24,7 +24,7 @@ let default_options =
 let probe_backend opts =
   match opts.backend with
   | `Auto -> None
-  | (`Dense | `Sparse | `Plan | `Kernel) as b -> Some b
+  | (`Dense | `Plan | `Kernel) as b -> Some b
 
 (* One compiled plan for the whole run mode: the coarse scan and every
    zoom window share the circuit's MNA pattern, so they share its
@@ -32,7 +32,7 @@ let probe_backend opts =
 let shared_plan opts probe =
   let plan_backed =
     match opts.backend with
-    | `Plan | `Sparse | `Kernel -> true
+    | `Plan | `Kernel -> true
     | `Dense -> false
     | `Auto ->
       probe.Probe.mna.Engine.Mna.size > Engine.Ac_plan.dense_cutoff

@@ -36,7 +36,7 @@ type options = {
       the sweep's volume clears {!Probe.auto_threshold}; [`Par] forces
       pooled execution, [`Seq] forces sequential. Results are
       bit-identical in every mode. *)
-  backend : [ `Auto | `Dense | `Sparse | `Plan | `Kernel ];
+  backend : [ `Auto | `Dense | `Plan | `Kernel ];
   (** linear-solver path handed to {!Probe.response_many}. [`Auto] (the
       default) lets the probe layer pick: the compiled AC plan above
       {!Engine.Ac_plan.dense_cutoff} unknowns, dense below. The explicit
@@ -108,11 +108,10 @@ val all_nodes_prepared :
 
 val shared_plan : options -> Probe.t -> Engine.Ac_plan.t option
 (** The plan a run mode would compile for these options: [Some] exactly
-    when the configured backend is plan-backed ([`Plan], [`Sparse],
-    [`Kernel], or [`Auto] above {!Engine.Ac_plan.dense_cutoff}
-    unknowns), [None] on the dense paths. Compiling costs one symbolic
-    analysis; the result is valid for any sweep of the same prepared
-    circuit. *)
+    when the configured backend is plan-backed ([`Plan], [`Kernel], or
+    [`Auto] above {!Engine.Ac_plan.dense_cutoff} unknowns), [None] on
+    the dense paths. Compiling costs one symbolic analysis; the result
+    is valid for any sweep of the same prepared circuit. *)
 
 val shared_kernel :
   options -> Engine.Ac_plan.t option -> Engine.Kernel.t option

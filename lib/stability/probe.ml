@@ -25,15 +25,9 @@ let excitation size k =
   b.(k) <- Cx.one;
   b
 
-(* Mid-band reference frequency of a sweep: seeds the plan's pivot
-   order. *)
-let omega_ref_of freqs =
-  if Array.length freqs = 0 then 2e6 *. Float.pi
-  else
-    2. *. Float.pi *. sqrt (freqs.(0) *. freqs.(Array.length freqs - 1))
-
 let plan ?(gmin = 1e-12) t ~sweep =
-  Engine.Ac_plan.compile ~gmin ~omega_ref:(omega_ref_of (Sweep.points sweep))
+  Engine.Ac_plan.compile ~gmin
+    ~omega_ref:(Engine.Ac_plan.omega_ref (Sweep.points sweep))
     ~op:t.op t.mna
 
 (* Below this many point-solves (unknowns x points x nets, a proxy for
@@ -91,13 +85,13 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   (* One plan compilation — and thus exactly one symbolic analysis — per
      sweep, unless the caller shares one across sweeps (the refinement
      pass re-probes many zoom windows of one circuit: same MNA pattern,
-     same symbolic analysis, zero recompilation). Sparse and plan
-     backends both fill the plan's O(nnz) skeleton instead of stamping a
-     dense matrix and harvesting triplets. *)
+     same symbolic analysis, zero recompilation). The plan and kernel
+     backends fill the plan's O(nnz) skeleton instead of stamping a
+     dense matrix. *)
   let plan =
     match backend with
     | `Dense -> None
-    | `Sparse | `Plan | `Kernel ->
+    | `Plan | `Kernel ->
       (match shared with
        | Some p -> Some p
        | None ->
@@ -107,8 +101,8 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
             None
           | _ ->
             Some
-              (Engine.Ac_plan.compile ~gmin ~omega_ref:(omega_ref_of freqs)
-                 ~op:t.op t.mna)))
+              (Engine.Ac_plan.compile ~gmin
+                 ~omega_ref:(Engine.Ac_plan.omega_ref freqs) ~op:t.op t.mna)))
   in
   (* The kernel backend compiles the plan one step further: the frozen
      elimination schedule flattened into a straight-line factor/solve
@@ -120,7 +114,7 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
       (match shared_kernel with
        | Some k -> Some k
        | None -> Some (Engine.Kernel.compile (Option.get plan)))
-    | `Dense | `Sparse | `Plan -> None
+    | `Dense | `Plan -> None
   in
   (* The probe excitations carry no frequency dependence; build the
      multi-RHS batch once per sweep for every backend (solves never
@@ -134,7 +128,7 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   let prims =
     match backend with
     | `Dense -> Engine.Linearize.of_op t.op
-    | `Sparse | `Plan | `Kernel -> []
+    | `Plan | `Kernel -> []
   in
   let run_point fk =
     let omega = 2. *. Float.pi *. freqs.(fk) in
@@ -146,28 +140,6 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
          itself stays instrumentation-free. *)
       let xs = Engine.Ac_plan.solve_many ?health plan ~omega bs in
       List.iteri (fun q (_, i, out) -> out.(fk) <- xs.(q).(i)) per_node
-    | `Sparse, Some plan ->
-      (* Fresh pivoting factorisation per point (no symbolic reuse);
-         kept as the mid-way reference between dense and plan. *)
-      let a = Engine.Ac_plan.matrix_at plan ~omega in
-      let lu = Scmat.lu_factor a in
-      List.iteri
-        (fun q (_, i, out) -> out.(fk) <- (Scmat.lu_solve lu bs.(q)).(i))
-        per_node;
-      if Engine.Health.tick () && Array.length bs > 0 then begin
-        let x = Scmat.lu_solve lu bs.(0) in
-        let mag_inf v =
-          Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
-        in
-        Engine.Health.record ?meter:health
-          ~rcond:(Cond.rcond (Cond.sparse a lu))
-          ~growth:(Scmat.pivot_growth a lu)
-          ~residual:
-            (Engine.Health.relative_residual ~norm1:(Scmat.norm1 a)
-               ~residual_inf:(Scmat.residual_inf a x bs.(0))
-               ~x_inf:(mag_inf x) ~b_inf:(mag_inf bs.(0)))
-          ()
-      end
     | `Kernel, Some _ ->
       (* Kernel sweeps never route through the per-point body — they run
          chunked below. *)

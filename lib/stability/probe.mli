@@ -54,7 +54,7 @@ val auto_decision : unknowns:int -> points:int -> nets:int -> bool
     manifest or [--metrics] snapshot records which mode really ran. *)
 
 val response_many :
-  ?gmin:float -> ?backend:[ `Dense | `Sparse | `Plan | `Kernel ] ->
+  ?gmin:float -> ?backend:[ `Dense | `Plan | `Kernel ] ->
   ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.t ->
   ?kernel:Engine.Kernel.t -> ?health:Engine.Health.meter ->
   t -> sweep:Numerics.Sweep.t -> Circuit.Netlist.node list ->
@@ -65,12 +65,10 @@ val response_many :
     unknowns — compiles the sweep once into an {!Engine.Ac_plan}: one
     symbolic analysis per sweep, one O(nnz) numeric fill and
     refactorisation per frequency point, and all probed nets solved as
-    one multi-RHS batch per point. [`Sparse] keeps a fresh
-    Gilbert-Peierls factorisation per point over the same compiled
-    skeleton; [`Dense] (the default for tiny systems) is the oracle
-    path. [`Kernel] compiles the plan one step further into an
-    {!Engine.Kernel} — the flattened, allocation-free factor/solve
-    program — and advances the sweep in chunks of
+    one multi-RHS batch per point. [`Dense] (the default for tiny
+    systems) is the oracle path. [`Kernel] compiles the plan one step
+    further into an {!Engine.Kernel} — the flattened, allocation-free
+    factor/solve program — and advances the sweep in chunks of
     {!Engine.Kernel.chunk} points per kernel invocation; its results
     are bit-identical to [`Plan]. Passing [plan] (see {!val:plan})
     skips compilation entirely and implies the [`Plan] backend unless

@@ -298,13 +298,12 @@ let dc_fingerprint (o : Engine.Dcop.options) =
 let backend_tag = function
   | `Auto -> "auto"
   | `Dense -> "dense"
-  | `Sparse -> "sparse"
   | `Plan -> "plan"
   | `Kernel -> "kernel"
 
 (* Everything that can change the numbers goes into the key; [parallel]
    does not (scheduling is bit-identical by contract, and the
-   seq-vs-par manifest diff in @bench-smoke keeps it honest). *)
+   seq-vs-par manifest diff in @health-smoke keeps it honest). *)
 let options_fingerprint (o : Stability.Analysis.options) =
   Printf.sprintf "sweep=%s;refine=%b,%.17g,%d;min_peak=%.17g;dc=%s;be=%s;hs=%d"
     (sweep_fingerprint o.sweep) o.refine o.refine_ratio o.refine_per_decade

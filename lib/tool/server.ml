@@ -129,11 +129,10 @@ let options_of_request v =
   (* "backend" mirrors the CLI's --backend enum; an unknown name is a
      protocol error, not a silent fallback to auto. *)
   match Option.value ~default:"auto" (Json.mem_str "backend" v) with
-  | "auto" | "dense" | "sparse" | "plan" | "kernel" as b ->
+  | "auto" | "dense" | "plan" | "kernel" as b ->
     let backend =
       match b with
       | "dense" -> `Dense
-      | "sparse" -> `Sparse
       | "plan" -> `Plan
       | "kernel" -> `Kernel
       | _ -> `Auto

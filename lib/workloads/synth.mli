@@ -14,8 +14,9 @@
       feedback loop — every stage a genuine resonant loop, the workload
       the paper's probe-every-node methodology targets.
 
-    All three are exportable via [acstab synth] and drive the [--scale]
-    bench section ([BENCH_scale.json]). *)
+    All three are exportable via [acstab synth]; the test suite runs
+    small instances sequentially and pooled and requires identical
+    bits. *)
 
 val rc_mesh :
   ?r:float -> ?c:float -> rows:int -> cols:int -> unit ->

@@ -239,24 +239,30 @@ let () =
   if bytes "nodes" kcold <> bytes "nodes" cold then
     fail "kernel-backend nodes differ from the plan-backed default";
   (* An unknown backend name is a usage error (exit-code contract 2),
-     not a crash. *)
-  let bogus =
-    Tool.Server.Client.request c
-      (Tool.Json.Obj
-         (("mode", Tool.Json.Str "all-nodes")
-          :: ("backend", Tool.Json.Str "warp")
-          :: analyze_fields))
-  in
-  (match Tool.Json.mem_bool "ok" bogus with
-   | Some false -> ()
-   | _ -> fail "bogus backend accepted: %s" (Tool.Json.to_string bogus));
-  (match
-     Option.bind (Tool.Json.member "error" bogus) (Tool.Json.mem_int "code")
-   with
-   | Some 2 -> ()
-   | cd ->
-     fail "bogus backend error code %d, wanted the usage code 2"
-       (Option.value ~default:(-1) cd));
+     not a crash. "sparse" names a backend that no longer exists. *)
+  List.iter
+    (fun name ->
+      let bogus =
+        Tool.Server.Client.request c
+          (Tool.Json.Obj
+             (("mode", Tool.Json.Str "all-nodes")
+              :: ("backend", Tool.Json.Str name)
+              :: analyze_fields))
+      in
+      (match Tool.Json.mem_bool "ok" bogus with
+       | Some false -> ()
+       | _ ->
+         fail "bogus backend %S accepted: %s" name
+           (Tool.Json.to_string bogus));
+      match
+        Option.bind (Tool.Json.member "error" bogus)
+          (Tool.Json.mem_int "code")
+      with
+      | Some 2 -> ()
+      | cd ->
+        fail "bogus backend %S error code %d, wanted the usage code 2" name
+          (Option.value ~default:(-1) cd))
+    [ "warp"; "sparse" ];
 
   (* The lint gate runs on memoized findings: a deck with one lint
      warning passes non-strict, and re-sent with "strict" it blocks

@@ -167,6 +167,54 @@ let test_montecarlo_zeta_spread () =
   let y = Tool.Montecarlo.yield run ~ok:(fun z -> z > 0.1) in
   Alcotest.(check bool) "yield sane" true (y > 0.8)
 
+(* Pooled Monte-Carlo runs each sample on whichever worker steals it,
+   so every outcome must depend on its seed alone: sequential and
+   pooled runs from seed 7 return the same samples bit for bit, with
+   real worker domains forced even on a single-core host. *)
+let test_montecarlo_seq_par () =
+  let circ = Workloads.Opamp_2mhz.buffer () in
+  let options =
+    { Stability.Analysis.default_options with
+      sweep = Numerics.Sweep.decade 1e4 1e8 10;
+      refine = false }
+  in
+  let analyse c =
+    match
+      (Stability.Analysis.single_node ~options c Workloads.Opamp_2mhz.node_out)
+        .Stability.Analysis.dominant
+    with
+    | Some d -> Option.value ~default:1. d.Stability.Peaks.zeta
+    | None -> 1.
+  in
+  let run parallel = Tool.Montecarlo.run ~parallel ~n:4 ~seed:7 circ analyse in
+  let saved = Parallel.Pool.jobs () in
+  Parallel.Pool.set_oversubscribe true;
+  Parallel.Pool.set_jobs 3;
+  let seq, par =
+    Fun.protect
+      ~finally:(fun () ->
+        Parallel.Pool.set_jobs saved;
+        Parallel.Pool.set_oversubscribe false;
+        Parallel.Pool.shutdown ())
+      (fun () ->
+        let seq = run `Seq in
+        let par = run `Par in
+        (seq, par))
+  in
+  Alcotest.(check int) "four samples" 4
+    (List.length seq.Tool.Montecarlo.samples);
+  List.iter2
+    (fun (s1, r1) (s2, r2) ->
+      Alcotest.(check int) "same seed order" s1 s2;
+      match (r1, r2) with
+      | Ok a, Ok b ->
+        Alcotest.(check int64)
+          (Printf.sprintf "sample %d zeta bits" s1)
+          (Int64.bits_of_float a) (Int64.bits_of_float b)
+      | Error _, Error _ -> ()
+      | _ -> Alcotest.failf "sample %d failed on one path only" s1)
+    seq.Tool.Montecarlo.samples par.Tool.Montecarlo.samples
+
 let test_montecarlo_model_sigma () =
   let spec =
     { Tool.Montecarlo.passive_sigma = 0.;
@@ -272,6 +320,8 @@ let () =
        [ Alcotest.test_case "deterministic seeding" `Quick
            test_montecarlo_deterministic;
          Alcotest.test_case "zeta spread" `Slow test_montecarlo_zeta_spread;
+         Alcotest.test_case "seq = par samples" `Quick
+           test_montecarlo_seq_par;
          Alcotest.test_case "model sigma" `Quick
            test_montecarlo_model_sigma ]);
       ("nmc",

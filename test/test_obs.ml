@@ -13,6 +13,16 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Minor words allocated by 10 000 calls of [f]. Instrumentation that is
+   off must cost nothing on the per-frequency solve path; the checks
+   allow 256 words for the boxed floats [Gc.minor_words] returns. *)
+let minor_words_10k f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
 (* ---------- counters ---------- *)
 
 let test_counter_basics () =
@@ -74,7 +84,13 @@ let test_span_disabled_is_silent () =
   Obs.Span.leave "off" t0;
   ignore (Obs.Span.with_ "off2" (fun () -> 1 + 1));
   Alcotest.(check int) "nothing recorded" 0
-    (List.length (Obs.Span.drain ()))
+    (List.length (Obs.Span.drain ()));
+  let words =
+    minor_words_10k (fun () -> Obs.Span.leave "off" (Obs.Span.enter ()))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000 spans allocate nothing (%.0f words)" words)
+    true (words < 256.)
 
 let test_span_records_when_enabled () =
   reset_all ();
@@ -190,6 +206,56 @@ let test_trace_write_roundtrip () =
          && String.sub text 0 16 = "{\"traceEvents\":[");
       Alcotest.(check bool) "span present" true
         (contains text "\"name\":\"roundtrip\""))
+
+(* One traced all-nodes run of the op-amp: the trace it writes must
+   carry the plan-reuse budget (one symbolic analysis for the whole
+   coarse + refine pipeline) and the pipeline's spans. *)
+let test_trace_all_nodes_budget () =
+  reset_all ();
+  let circ = Workloads.Opamp_2mhz.buffer () in
+  let options =
+    { Stability.Analysis.default_options with
+      sweep = Numerics.Sweep.decade 1e3 1e9 10;
+      refine_per_decade = 120 }
+  in
+  Obs.Span.enable ();
+  let results =
+    Fun.protect ~finally:Obs.Span.disable (fun () ->
+        Stability.Analysis.all_nodes ~options circ)
+  in
+  Alcotest.(check bool) "nets analysed" true (results <> []);
+  let path = Filename.temp_file "acstab_trace" ".json" in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Obs.Trace.write path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let events =
+    match Tool.Json.of_string text with
+    | Error e -> Alcotest.failf "trace is not JSON: %s" e
+    | Ok json ->
+      Option.value ~default:[]
+        (Option.bind (Tool.Json.member "traceEvents" json) Tool.Json.to_list)
+  in
+  let named ph name =
+    List.filter
+      (fun e ->
+        Tool.Json.mem_str "name" e = Some name
+        && Tool.Json.mem_str "ph" e = Some ph)
+      events
+  in
+  (match named "C" "acplan.symbolic" with
+   | [ e ] ->
+     Alcotest.(check (option int)) "one symbolic analysis per run" (Some 1)
+       (Option.bind (Tool.Json.member "args" e) (Tool.Json.mem_int "value"))
+   | l -> Alcotest.failf "%d acplan.symbolic counter events" (List.length l));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " span present") true (named "X" name <> []))
+    [ "mna.compile"; "dc.op"; "acplan.compile"; "probe.sweep";
+      "analysis.coarse"; "analysis.zoom" ]
 
 (* ---------- histograms ---------- *)
 
@@ -398,6 +464,10 @@ let test_events_disarmed_and_ring () =
   Obs.Events.emit "quiet" [ ("k", Obs.Events.Int 1) ];
   Alcotest.(check int) "nothing kept when disarmed" 0
     (List.length (Obs.Events.recent ()));
+  let words = minor_words_10k (fun () -> Obs.Events.emit "quiet" []) in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000 emits allocate nothing (%.0f words)" words)
+    true (words < 256.);
   Obs.Events.enable_ring ();
   Obs.Events.emit "one" [ ("n", Obs.Events.Int 1) ];
   Obs.Events.emit ~level:Obs.Events.Warn "two" [];
@@ -660,7 +730,9 @@ let () =
       ("trace",
        [ Alcotest.test_case "json shape" `Quick test_trace_json_shape;
          Alcotest.test_case "write roundtrip" `Quick
-           test_trace_write_roundtrip ]);
+           test_trace_write_roundtrip;
+         Alcotest.test_case "traced all-nodes budget" `Quick
+           test_trace_all_nodes_budget ]);
       ("histogram",
        [ Alcotest.test_case "bucket layout" `Quick test_histogram_buckets;
          Alcotest.test_case "summary percentiles" `Quick

@@ -54,14 +54,15 @@ let test_probe_rejects_ground () =
      with Invalid_argument _ -> true)
 
 let test_probe_backends_agree () =
-  (* Dense and sparse factorisations of the same system must agree to
-     solver precision; force both on a mid-size circuit. *)
+  (* Dense LU and the compiled plan's sparse refactorisation of the same
+     system must agree to solver precision; force both on a mid-size
+     circuit. *)
   let circ = Workloads.Opamp_2mhz.buffer () in
   let sweep = Numerics.Sweep.decade 1e4 1e8 10 in
   let probe = Stability.Probe.prepare circ in
   let nodes = [ "out"; "o1"; "vcasc" ] in
   let dense = Stability.Probe.response_many ~backend:`Dense probe ~sweep nodes in
-  let sparse = Stability.Probe.response_many ~backend:`Sparse probe ~sweep nodes in
+  let plan = Stability.Probe.response_many ~backend:`Plan probe ~sweep nodes in
   List.iter2
     (fun (n1, w1) (n2, w2) ->
       Alcotest.(check string) "node order" n1 n2;
@@ -73,7 +74,7 @@ let test_probe_backends_agree () =
             (Numerics.Cx.close ~tol:1e-9 h
                w2.Numerics.Waveform.Freq.h.(k)))
         w1.Numerics.Waveform.Freq.h)
-    dense sparse
+    dense plan
 
 let test_probe_parallel_agrees () =
   let circ = Workloads.Opamp_2mhz.buffer () in
@@ -532,53 +533,48 @@ let test_cross_validation_with_tf () =
 (* ---------- AC-plan backends ---------- *)
 
 (* The compiled-plan solve path is a pure performance refactor: forcing
-   each backend over the same shipped deck must produce the same node
-   set, the same peak structure, and numerically equivalent estimates. *)
+   each backend over the same deck must produce the same node set, the
+   same peak structure, and numerically equivalent estimates: within
+   1e-6 on the shipped two-pole loop, and within 0.1% on the op-amp,
+   whose larger system the two backends eliminate in different orders
+   (natural order for dense LU, minimum degree for the plan). *)
 let test_all_nodes_backends_agree () =
-  let circ = Circuit.Parser.parse_file "../circuits/two_pole_loop.sp" in
-  let run backend =
-    let options =
-      { Stability.Analysis.default_options with
-        sweep = Numerics.Sweep.decade 1e2 1e8 20;
-        backend }
-    in
-    Stability.Analysis.all_nodes ~options circ
-  in
-  let dense = run `Dense in
-  let sparse = run `Sparse in
-  let plan = run `Plan in
-  Alcotest.(check bool) "some nets analysed" true (List.length dense > 0);
-  let compare_results label a b =
-    Alcotest.(check (list string)) (label ^ ": same nets")
-      (List.map (fun r -> r.Stability.Analysis.node) a)
-      (List.map (fun r -> r.Stability.Analysis.node) b);
-    List.iter2
-      (fun ra rb ->
-        let pa = ra.Stability.Analysis.peaks
-        and pb = rb.Stability.Analysis.peaks in
-        Alcotest.(check int)
-          (Printf.sprintf "%s: %s peak count" label
-             ra.Stability.Analysis.node)
-          (List.length pa) (List.length pb);
-        List.iter2
-          (fun (p : Stability.Peaks.peak) (q : Stability.Peaks.peak) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %s same peak kind" label
-                 ra.Stability.Analysis.node)
-              true (p.kind = q.kind);
-            check_close ~tol:1e-6
-              (Printf.sprintf "%s: %s natural frequency" label
-                 ra.Stability.Analysis.node)
-              p.freq q.freq;
-            check_close ~tol:1e-6
-              (Printf.sprintf "%s: %s performance index" label
-                 ra.Stability.Analysis.node)
-              p.value q.value)
-          pa pb)
-      a b
-  in
-  compare_results "dense vs sparse" dense sparse;
-  compare_results "dense vs plan" dense plan
+  List.iter
+    (fun (deck, circ, sweep, tol) ->
+      let run backend =
+        let options =
+          { Stability.Analysis.default_options with sweep; backend }
+        in
+        Stability.Analysis.all_nodes ~options circ
+      in
+      let dense = run `Dense in
+      let plan = run `Plan in
+      Alcotest.(check bool) (deck ^ ": some nets analysed") true
+        (List.length dense > 0);
+      Alcotest.(check (list string)) (deck ^ ": same nets")
+        (List.map (fun r -> r.Stability.Analysis.node) dense)
+        (List.map (fun r -> r.Stability.Analysis.node) plan);
+      List.iter2
+        (fun ra rb ->
+          let label = deck ^ " " ^ ra.Stability.Analysis.node in
+          let pa = ra.Stability.Analysis.peaks
+          and pb = rb.Stability.Analysis.peaks in
+          Alcotest.(check int) (label ^ " peak count")
+            (List.length pa) (List.length pb);
+          List.iter2
+            (fun (p : Stability.Peaks.peak) (q : Stability.Peaks.peak) ->
+              Alcotest.(check bool) (label ^ " same peak kind") true
+                (p.kind = q.kind);
+              check_close ~tol (label ^ " natural frequency") p.freq q.freq;
+              check_close ~tol (label ^ " performance index") p.value
+                q.value)
+            pa pb)
+        dense plan)
+    [ ("two_pole_loop",
+       Circuit.Parser.parse_file "../circuits/two_pole_loop.sp",
+       Numerics.Sweep.decade 1e2 1e8 20, 1e-6);
+      ("op-amp", Workloads.Opamp_2mhz.buffer (),
+       Numerics.Sweep.decade 1e3 1e9 20, 1e-3) ]
 
 (* The plan's whole point: one symbolic analysis per sweep and one
    numeric refactorisation per frequency point, however many nets are
@@ -761,7 +757,85 @@ let test_kernel_counter_budget () =
     (Stability.Probe.response_many ~backend:`Kernel probe ~sweep nodes)
     shared
 
+(* The kernel's sweep allocates little beyond its outputs: with health
+   sampling off and after one warm-up run, [Kernel.run] over the
+   op-amp's 121-point sweep of all 13 nets allocates at most 8 minor
+   words per value written (about 7 go into building each output's
+   boxed complex). The plan backend's per-point fill and factorisation
+   allocate about 50 times that; an allocation slipping into the
+   kernel's loop shows here as a count that repeats exactly, where a
+   wall-clock ratio against the plan would be noise. *)
+let test_kernel_sweep_allocation () =
+  let circ = Workloads.Opamp_2mhz.buffer () in
+  let probe = Stability.Probe.prepare circ in
+  let sweep = Numerics.Sweep.decade 1e3 1e9 20 in
+  let freqs = Numerics.Sweep.points sweep in
+  let npts = Array.length freqs in
+  let mna = probe.Stability.Probe.mna in
+  let sel =
+    Array.of_list
+      (List.map (Engine.Mna.node_index mna) (Circuit.Netlist.node_names circ))
+  in
+  let rhs =
+    Array.map
+      (fun i ->
+        let b = Array.make mna.Engine.Mna.size Numerics.Cx.zero in
+        b.(i) <- Numerics.Cx.one;
+        b)
+      sel
+  in
+  let outs = Array.map (fun _ -> Array.make npts Numerics.Cx.zero) sel in
+  let kern = Engine.Kernel.compile (Stability.Probe.plan probe ~sweep) in
+  let ws = Engine.Kernel.workspace kern ~rhs in
+  let sweep_once () =
+    Engine.Kernel.run ws ~freqs ~lo:0 ~hi:npts ~sel ~outs
+  in
+  Engine.Health.set_sample_every 1_000_000_000;
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.Health.set_sample_every Engine.Health.default_sample_every)
+      (fun () ->
+        sweep_once ();
+        let w0 = Gc.minor_words () in
+        sweep_once ();
+        Gc.minor_words () -. w0)
+  in
+  let values = npts * Array.length sel in
+  Alcotest.(check int) "121 points x 13 nets" (121 * 13) values;
+  if words > 8. *. Float.of_int values then
+    Alcotest.failf "kernel sweep allocated %.0f words for %d values (%.2f each)"
+      words values (words /. Float.of_int values)
+
 (* ---------- numerical-health grading ---------- *)
+
+(* Health telemetry costs one estimate per sampled point, so its price
+   is the sample count: a P-point sweep at the default interval of 16
+   records P/16 samples (to within one: the sample clock is
+   process-wide, so its phase at the first point varies), on every
+   backend. *)
+let test_health_sample_count () =
+  Engine.Health.set_sample_every Engine.Health.default_sample_every;
+  let circ = Workloads.Opamp_2mhz.buffer () in
+  let probe = Stability.Probe.prepare circ in
+  let sweep = Numerics.Sweep.decade 1e3 1e9 20 in
+  let points = Numerics.Sweep.count sweep in
+  let nodes = Circuit.Netlist.node_names circ in
+  let expected =
+    Float.of_int points /. Float.of_int Engine.Health.default_sample_every
+  in
+  List.iter
+    (fun (label, backend) ->
+      let health = Engine.Health.meter () in
+      ignore
+        (Stability.Probe.response_many ~backend ~parallel:`Seq ~health probe
+           ~sweep nodes);
+      let n = Engine.Health.samples health in
+      if Float.abs (Float.of_int n -. expected) > 1. then
+        Alcotest.failf "%s: %d health samples over %d points, wanted %.2f +- 1"
+          label n points expected)
+    [ ("dense", `Dense); ("plan", `Plan); ("kernel", `Kernel) ]
+
 
 (* A healthy deck must come back [Good]: the shipped RC ladder is as
    well-conditioned as AC analysis gets. *)
@@ -883,7 +957,7 @@ let () =
            test_probe_many_matches_single;
          Alcotest.test_case "ground rejected" `Quick
            test_probe_rejects_ground;
-         Alcotest.test_case "dense = sparse backend" `Quick
+         Alcotest.test_case "dense = plan backend" `Quick
            test_probe_backends_agree;
          Alcotest.test_case "parallel = sequential" `Quick
            test_probe_parallel_agrees ]);
@@ -916,7 +990,9 @@ let () =
        [ Alcotest.test_case "healthy deck grades good" `Quick
            test_quality_good_on_healthy_deck;
          Alcotest.test_case "gmin-starved deck grades suspect" `Quick
-           test_quality_suspect_on_starved_deck ]);
+           test_quality_suspect_on_starved_deck;
+         Alcotest.test_case "P/16 samples on every backend" `Quick
+           test_health_sample_count ]);
       ("ac-plan",
        [ Alcotest.test_case "backends agree on shipped deck" `Quick
            test_all_nodes_backends_agree;
@@ -929,7 +1005,9 @@ let () =
          Alcotest.test_case "parallel = sequential, bit for bit" `Quick
            test_kernel_seq_par_identical;
          Alcotest.test_case "compile/point counter budget" `Quick
-           test_kernel_counter_budget ]);
+           test_kernel_counter_budget;
+         Alcotest.test_case "sweep allocation bounded per value" `Quick
+           test_kernel_sweep_allocation ]);
       ("cross-validation",
        [ Alcotest.test_case "matches exact TF poles" `Quick
            test_cross_validation_with_tf;
