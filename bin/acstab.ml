@@ -15,6 +15,18 @@ let setup_logs level =
 let log_term =
   Term.(const setup_logs $ Logs_cli.level ())
 
+(* The exit codes of MANUAL section 3, listed in every command's help. *)
+let exits =
+  Cmd.Exit.
+    [ info 0 ~doc:"on success.";
+      info 1 ~doc:"when the analysis found nothing usable, or on failing \
+                   lint findings.";
+      info 2 ~doc:"on parse errors and unusable command-line arguments.";
+      info 3 ~doc:"on analysis failure (DC convergence, singular matrix).";
+      info 4 ~doc:"when the lint gate blocked the run.";
+      info 5 ~doc:"when $(b,diff) found regressions.";
+      info internal_error ~doc:"on unexpected internal errors (bugs)." ]
+
 (* ---- Tool.Pipeline adapters ----
 
    Every analysis subcommand is a thin shell over [Tool.Pipeline]: the
@@ -316,7 +328,7 @@ let single_node_cmd =
       manifest
   in
   Cmd.v
-    (Cmd.info "single-node"
+    (Cmd.info ~exits "single-node"
        ~doc:"Stability peak and natural frequency of one net (paper \
              'Single Node' run mode).")
     Term.(const run $ log_term $ jobs_term $ obs_term $ health_term
@@ -366,7 +378,7 @@ let all_nodes_cmd =
       manifest
   in
   Cmd.v
-    (Cmd.info "all-nodes"
+    (Cmd.info ~exits "all-nodes"
        ~doc:"Stability peaks of every net, grouped by loop (paper 'All \
              Nodes' run mode, Table 2).")
     Term.(const run $ log_term $ jobs_term $ obs_term $ health_term
@@ -434,7 +446,7 @@ let run_cmd =
       print_string (Tool.Ocean.stab_report r)
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info ~exits "run"
        ~doc:"Execute the analyses named by the deck's dot-cards (.op,              .ac, .tran, .stab).")
     Term.(const run $ log_term $ obs_term $ health_term $ lint_term
           $ file_arg $ manifest_arg)
@@ -466,7 +478,7 @@ let probe_cmd =
       w.Engine.Waveform.Freq.freqs
   in
   Cmd.v
-    (Cmd.info "probe"
+    (Cmd.info ~exits "probe"
        ~doc:"Driving-point impedance of a net (the raw quantity the              stability plot differentiates).")
     Term.(const run $ log_term $ obs_term $ lint_term $ file_arg $ node_arg
           $ fmin_arg $ fmax_arg $ ppd_arg $ csv_arg)
@@ -481,7 +493,7 @@ let op_cmd =
     let op = Engine.Dcop.solve (Engine.Mna.compile circ) in
     Engine.Dcop.pp_report Format.std_formatter op
   in
-  Cmd.v (Cmd.info "op" ~doc:"DC operating point report.")
+  Cmd.v (Cmd.info ~exits "op" ~doc:"DC operating point report.")
     Term.(const run $ log_term $ lint_term $ file_arg)
 
 (* ---- ac ---- *)
@@ -505,7 +517,7 @@ let ac_cmd =
       (fun path -> write_csv path (Engine.Waveform.Freq.to_csv w))
       csv
   in
-  Cmd.v (Cmd.info "ac" ~doc:"AC magnitude/phase of a net.")
+  Cmd.v (Cmd.info ~exits "ac" ~doc:"AC magnitude/phase of a net.")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ fmin_arg
           $ fmax_arg $ ppd_arg $ csv_arg)
 
@@ -542,8 +554,10 @@ let tran_cmd =
       m.Engine.Measure.overshoot_pct m.Engine.Measure.rise_time
       m.Engine.Measure.settle_time
   in
-  Cmd.v (Cmd.info "tran" ~doc:"Transient waveform of a net (time value \
-                               pairs on stdout, metrics on stderr).")
+  Cmd.v
+    (Cmd.info ~exits "tran"
+       ~doc:"Transient waveform of a net (time value pairs on stdout, \
+             metrics on stderr).")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ tstop
           $ tstep $ csv_arg)
 
@@ -577,7 +591,7 @@ let loopgain_cmd =
     Format.printf "%a@." Engine.Measure.pp_margins (Engine.Loopgain.margins r)
   in
   Cmd.v
-    (Cmd.info "loopgain"
+    (Cmd.info ~exits "loopgain"
        ~doc:"Open-loop gain/phase margins (the traditional baseline, \
              paper Fig 3).")
     Term.(const run $ log_term $ lint_term $ file_arg $ device $ terminal
@@ -604,7 +618,7 @@ let poles_cmd =
          pairs)
   in
   Cmd.v
-    (Cmd.info "poles"
+    (Cmd.info ~exits "poles"
        ~doc:"Exact small-signal poles of the whole system (eigenvalues of              the MNA pencil) -- ground truth for the stability plot.")
     Term.(const run $ log_term $ lint_term $ file_arg)
 
@@ -640,7 +654,7 @@ let noise_cmd =
     Format.printf "@.%a" (Engine.Noise.pp_summary ~at_hz) r
   in
   Cmd.v
-    (Cmd.info "noise"
+    (Cmd.info ~exits "noise"
        ~doc:"Output noise spectrum of a net; an unstable loop's noise              peaks at its natural frequency (paper section 1.2).")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ fmin_arg
           $ fmax_arg $ ppd_arg $ at)
@@ -662,7 +676,7 @@ let sensitivity_cmd =
        exit 1)
   in
   Cmd.v
-    (Cmd.info "sensitivity"
+    (Cmd.info ~exits "sensitivity"
        ~doc:"Rank the passive components by their influence on a loop's              damping (which part to change to fix the loop).")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ fmin_arg
           $ fmax_arg $ ppd_arg)
@@ -717,7 +731,7 @@ let stab_track_cmd =
       zeta_target
   in
   Cmd.v
-    (Cmd.info "stab-track"
+    (Cmd.info ~exits "stab-track"
        ~doc:"Track a loop's natural frequency and damping across a              component sweep (compensation sizing).")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ device
           $ from_v $ to_v $ points $ zeta_target $ fmin_arg $ fmax_arg
@@ -760,7 +774,7 @@ let dcsweep_cmd =
       w.Engine.Waveform.Real.x
   in
   Cmd.v
-    (Cmd.info "dcsweep"
+    (Cmd.info ~exits "dcsweep"
        ~doc:"Sweep a source's DC value and print a node's transfer curve.")
     Term.(const run $ log_term $ lint_term $ file_arg $ node_arg $ source
           $ from_v $ to_v $ points $ csv_arg)
@@ -807,7 +821,7 @@ let montecarlo_cmd =
       [ 0.2; 0.3; 0.5 ]
   in
   Cmd.v
-    (Cmd.info "montecarlo"
+    (Cmd.info ~exits "montecarlo"
        ~doc:"Mismatch Monte Carlo on a loop's damping ratio.")
     Term.(const run $ log_term $ jobs_term $ obs_term $ lint_term $ file_arg
           $ node_arg $ n $ seed $ sigma $ par_term)
@@ -820,7 +834,7 @@ let table1_cmd =
       (Control.Second_order.table1 ())
   in
   Cmd.v
-    (Cmd.info "table1"
+    (Cmd.info ~exits "table1"
        ~doc:"Second-order system characteristics (paper Table 1).")
     Term.(const run $ log_term)
 
@@ -873,7 +887,7 @@ let lint_cmd =
     if List.exists failing findings then exit 1
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info ~exits "lint"
        ~doc:"Static analysis of a netlist: wiring mistakes, suspicious \
              values and structural singularities, with rule IDs and \
              source lines.")
@@ -921,7 +935,7 @@ let loops_cmd =
     else print_string (Tool.Loops_report.render ~deck:file report)
   in
   Cmd.v
-    (Cmd.info "loops"
+    (Cmd.info ~exits "loops"
        ~doc:"Static signal-flow analysis of a netlist without solving \
              anything: enumerate the feedback loops (global vs. local, \
              ranked by structural gain order), compute the probe cover \
@@ -989,7 +1003,7 @@ let diff_cmd =
         exit 5
   in
   Cmd.v
-    (Cmd.info "diff"
+    (Cmd.info ~exits "diff"
        ~doc:"Compare two run manifests: added/removed/shifted peaks and \
              quality downgrades. Exit 0 when B agrees with reference A \
              within tolerance, 5 on regressions.")
@@ -1043,7 +1057,7 @@ let serve_cmd =
       exit 2
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:"Run the resident analysis daemon: newline-delimited JSON \
              requests over a Unix socket, analyzed through the shared \
              pipeline and answered from a fingerprint-keyed cache (a \
@@ -1122,7 +1136,7 @@ let top_cmd =
     Tool.Server.Client.close client
   in
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info ~exits "top"
        ~doc:"Live dashboard over a running serve daemon: request rate, \
              latency percentiles (p50/p90/p99), per-family cache hit \
              ratios and pool utilization, sampled over the daemon's \
@@ -1153,7 +1167,7 @@ let export_cmd =
     dump "rc_ladder_20" (Workloads.Ladder.rc ())
   in
   Cmd.v
-    (Cmd.info "export-builtin"
+    (Cmd.info ~exits "export-builtin"
        ~doc:"Write the built-in workload circuits (the paper's op-amp and              bias cell, the NMC amplifier) as SPICE decks.")
     Term.(const run $ log_term $ dir)
 
@@ -1226,7 +1240,7 @@ let synth_cmd =
       Printf.printf "wrote %s (%d unknowns)\n" path unknowns
   in
   Cmd.v
-    (Cmd.info "synth"
+    (Cmd.info ~exits "synth"
        ~doc:"Generate a parameterised synthetic benchmark deck (RC mesh, \
              RC tree, chained feedback amplifiers, RC ladder) sized from \
              hundreds to tens of thousands of unknowns, for scaling \
@@ -1260,13 +1274,13 @@ let demo_cmd =
       Engine.Measure.pp_margins (Engine.Loopgain.margins lg)
   in
   Cmd.v
-    (Cmd.info "demo"
+    (Cmd.info ~exits "demo"
        ~doc:"End-to-end demo on the paper's built-in op-amp circuit.")
     Term.(const run $ log_term)
 
 let main =
   Cmd.group
-    (Cmd.info "acstab" ~version:"1.0.0"
+    (Cmd.info ~exits "acstab" ~version:"1.0.0"
        ~doc:"AC-stability analysis of continuous-time closed-loop circuits \
              without breaking the loop (Milev & Burt, DATE 2005).")
     [ single_node_cmd; all_nodes_cmd; run_cmd; probe_cmd; op_cmd; ac_cmd;
@@ -1276,4 +1290,12 @@ let main =
       montecarlo_cmd; table1_cmd; lint_cmd; loops_cmd; diff_cmd;
       serve_cmd; top_cmd; export_cmd; synth_cmd; demo_cmd ]
 
-let () = exit (Cmd.eval main)
+(* Cmdliner's own codes would answer unusable arguments (an unknown
+   flag or backend, a non-integer --jobs, a missing deck file) with 124;
+   the CLI promises 2 for those, like every other user-input error. *)
+let () =
+  exit
+    (match Cmd.eval_value main with
+     | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -12,7 +12,7 @@ type t
 val make : string -> t
 (** [make name] returns the counter registered under [name], creating it
     at zero on first use. Dotted names ([acplan.symbolic],
-    [pool.steals]) group related counters in reports. *)
+    [pool.chunks]) group related counters in reports. *)
 
 val name : t -> string
 val value : t -> int

@@ -87,7 +87,7 @@ let pp_events events ppf () =
     List.iter
       (fun (name, v) ->
         (* Cumulative-nanosecond counters ([*_ns]) render through the
-           duration pretty-printer, so pool.lock_wait_ns reads in the
+           duration pretty-printer, so pool.main.busy_ns reads in the
            same unit family as the span table and the *_ms histograms
            instead of as a raw nanosecond integer. *)
         let is_ns =

@@ -7,7 +7,7 @@
      byte become [_]) and prefixed [acstab_];
    - counters render as [# TYPE ... counter] with a [_total] suffix;
      the [*_ns] counters (cumulative nanoseconds, e.g.
-     [pool.lock_wait_ns]) are converted to milliseconds and renamed
+     [pool.main.busy_ns]) are converted to milliseconds and renamed
      [*_ms_total] so every exported duration — counter, histogram or
      span table — reads in the same unit;
    - gauges render as [# TYPE ... gauge];

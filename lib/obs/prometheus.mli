@@ -4,7 +4,7 @@
     Naming: every metric is the dotted registry name with
     non-alphanumeric bytes mapped to [_], prefixed [acstab_]. Counters
     gain a [_total] suffix; cumulative-nanosecond counters ([*_ns],
-    e.g. [pool.lock_wait_ns]) are exported in milliseconds as
+    e.g. [pool.main.busy_ns]) are exported in milliseconds as
     [*_ms_total] so all exported durations share one unit. Histograms
     render as summaries ([quantile="0.5"|"0.9"|"0.99"] rows plus
     [_count]) with a companion [<name>_max] gauge for the exact

@@ -1,137 +1,45 @@
 (* A process-wide persistent parallel runtime.
 
    The tool's heavy workloads — all-nodes probing, Monte-Carlo, corners —
-   are embarrassingly parallel, but `Domain.spawn` costs milliseconds
-   (domain-local heap setup plus a stop-the-world handshake), which dwarfs
-   a chunk of frequency-point solves. Spawning per sweep therefore loses
-   exactly where parallelism should win: many small independent batches.
+   are embarrassingly parallel, but `Domain.spawn` costs milliseconds,
+   which dwarfs a chunk of frequency-point solves. So this module keeps
+   one pool of worker domains, started lazily on the first parallel
+   submission and reused for every later one.
 
-   This module keeps one process-wide pool of worker domains, started
-   lazily on the first parallel submission and reused for every subsequent
-   one. Scheduling is work stealing over per-worker chunked deques: a
-   submission splits its index range into chunks, deals them round-robin
-   across the worker deques, and then participates itself by stealing;
-   a worker prefers the back of its own deque (LIFO, cache-warm) and
-   steals from the front of the longest other deque (FIFO, oldest work).
-   One slow chunk — a corner whose DC solve limps through the homotopy
-   ladder, say — no longer serialises a static bucket: idle participants
-   drain the remaining chunks around it.
+   A submission publishes its batch under the pool lock and wakes the
+   workers; every participant, the submitter included, then claims the
+   next chunk with one [Atomic.fetch_and_add] until the cursor passes the
+   end, so a slow chunk holds up only the participant running it.
+   Whoever finishes the last chunk wakes the submitter. There is only
+   ever one live batch: a submission from inside a pool task runs
+   inline, and so does a top-level one that finds another domain's batch
+   still running. *)
 
-   Locking is per worker: each worker owns a deque guarded by its own
-   mutex and sleeps on its own condition variable, so the common path —
-   owner pops the back of its own deque — never contends with other
-   workers. Thieves use [Mutex.try_lock] first (a failed attempt is
-   counted, not waited on) and fall back to a blocking verification scan
-   before sleeping. Job completion is an atomic countdown; only the
-   chunk that drops it to zero takes the submitter's per-job mutex to
-   signal. The old design funnelled every deque operation and every
-   chunk completion through one global mutex + broadcast, which
-   serialised the scheduler exactly when all workers were busy. *)
-
-(* ---- double-ended chunk queue (owner back, thief front) ---- *)
-
-module Deque = struct
-  type 'a t = {
-    mutable front : 'a list;    (* front-to-back order *)
-    mutable back : 'a list;     (* back-to-front order *)
-    mutable len : int;
-    (* Padding so two workers' deque records never share a cache line
-       even when the allocator places them back to back: the mutable
-       fields above are written on every push/pop, and a neighbour's
-       writes would otherwise ping-pong the line between cores. Nine
-       words of fields + header ≥ 80 bytes. *)
-    mutable pad0 : int;
-    mutable pad1 : int;
-    mutable pad2 : int;
-    mutable pad3 : int;
-    mutable pad4 : int;
-    mutable pad5 : int;
-  }
-
-  let create () =
-    { front = []; back = []; len = 0;
-      pad0 = 0; pad1 = 0; pad2 = 0; pad3 = 0; pad4 = 0; pad5 = 0 }
-
-  let length d = d.len
-
-  let push_back d x =
-    d.back <- x :: d.back;
-    d.len <- d.len + 1
-
-  let pop_back d =
-    match d.back with
-    | x :: r ->
-      d.back <- r;
-      d.len <- d.len - 1;
-      Some x
-    | [] ->
-      (match List.rev d.front with
-       | [] -> None
-       | x :: r ->
-         d.front <- [];
-         d.back <- r;
-         d.len <- d.len - 1;
-         Some x)
-
-  let pop_front d =
-    match d.front with
-    | x :: r ->
-      d.front <- r;
-      d.len <- d.len - 1;
-      Some x
-    | [] ->
-      (match List.rev d.back with
-       | [] -> None
-       | x :: r ->
-         d.back <- [];
-         d.front <- r;
-         d.len <- d.len - 1;
-         Some x)
-end
-
-(* ---- jobs and chunks ---- *)
-
-type job = {
+type batch = {
   body : int -> unit;
-  unfinished : int Atomic.t;     (* chunks not yet fully executed *)
+  n : int;
+  csize : int;                   (* indices per chunk *)
+  nchunks : int;
+  next : int Atomic.t;           (* the next unclaimed chunk *)
+  pending : int Atomic.t;        (* chunks not yet fully executed *)
   failed : (exn * Printexc.raw_backtrace) option Atomic.t;
-      (* first failure wins; later chunks of the job are skipped *)
-  done_lock : Mutex.t;
-  done_cv : Condition.t;
-      (* the submitter parks here; signalled once, by whichever chunk
-         drops [unfinished] to zero *)
-}
-
-type chunk = { job : job; lo : int; hi : int }   (* [lo, hi) *)
-
-(* Per-worker scheduler state. Each worker's hot mutable state lives in
-   its own heap blocks (deque, mutex, condition, busy counter), so
-   workers never write into a block another worker reads on its fast
-   path. *)
-type wstate = {
-  deque : chunk Deque.t;
-  lock : Mutex.t;                (* guards [deque] *)
-  cond : Condition.t;            (* this worker sleeps here when idle *)
-  busy : Obs.Counter.t;
+      (* first failure wins; later chunks of the batch are skipped *)
 }
 
 type pool = {
-  workers : wstate array;
   mutable domains : unit Domain.t array;
-  stop : bool Atomic.t;
-  epoch : int Atomic.t;
-      (* bumped on every deal (and on stop); a worker that found every
-         deque empty re-checks the epoch under its own lock before
-         sleeping, so a deal that raced with its scan is never missed *)
+  lock : Mutex.t;                (* guards the three fields below *)
+  wake : Condition.t;            (* workers sleep here between batches *)
+  finished : Condition.t;        (* the submitter waits here *)
+  mutable current : batch option;
+  mutable generation : int;      (* bumped on every published batch *)
+  mutable stop : bool;
 }
 
 (* Pool health counters. Always on: all sit on the coarse per-chunk /
    per-submission paths, never inside a chunk body. *)
 let jobs_counter = Obs.Counter.make "pool.jobs"
 let chunks_counter = Obs.Counter.make "pool.chunks"
-let steals_counter = Obs.Counter.make "pool.steals"
-let steal_fails_counter = Obs.Counter.make "pool.steal_fails"
-let lock_wait_counter = Obs.Counter.make "pool.lock_wait_ns"
 let queue_high_water_counter = Obs.Counter.make "pool.queue_high_water"
 let main_busy_counter = Obs.Counter.make "pool.main.busy_ns"
 
@@ -144,7 +52,7 @@ let worker_busy_counter k =
 let busy_now = Atomic.make 0
 let busy_workers () = Atomic.get busy_now
 
-(* Every index of a pool job executes with this flag set — on a worker
+(* Every index of a pool batch executes with this flag set — on a worker
    domain or on the submitter while it helps drain chunks — so a nested
    submission (a Monte-Carlo sample fanning out its own sweep) detects it
    and runs inline instead of oversubscribing the machine. *)
@@ -153,465 +61,232 @@ let in_worker () = Domain.DLS.get worker_flag
 
 (* ---- configuration ---- *)
 
-let env_flag name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-(* The accepted grammar of each ACSTAB_* tuning knob, as a pure function
-   so tests can pin exactly what the environment parser accepts without
-   mutating the environment. Both trim surrounding whitespace (an
-   exported CHUNK_MS=" 2.5 " from a shell script should not disable
-   adaptive chunking) and reject rather than clamp out-of-range
-   values — a clamped typo would silently run at the wrong setting. *)
+(* The accepted grammar of ACSTAB_JOBS, pure so tests can pin it. Values
+   out of range are rejected, not clamped: a clamped typo would silently
+   run at the wrong setting. *)
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Some n
   | _ -> None
 
-let parse_chunk_ms s =
-  match float_of_string_opt (String.trim s) with
-  | Some ms when ms > 0. && Float.is_finite ms -> Some ms
-  | _ -> None
-
-(* One warning shape for every knob: name the rejected value, what was
-   expected, and the fallback actually used. Routed through
-   [Obs.Events.warn_once] keyed by the variable name, so a daemon that
-   re-reads a bad knob warns on stderr once (and records a structured
-   [Warn] event) instead of repeating per call. *)
-let env_parse name ~parse ~expected ~show fallback =
-  match Sys.getenv_opt name with
+(* Warn once, naming the rejected value and the fallback used. *)
+let default_jobs () =
+  let fallback = Domain.recommended_domain_count () in
+  match Sys.getenv_opt "ACSTAB_JOBS" with
   | None -> fallback
   | Some s ->
-    (match parse s with
-     | Some v -> v
+    (match parse_jobs s with
+     | Some n -> n
      | None ->
-       Obs.Events.warn_once ~key:name
+       Obs.Events.warn_once ~key:"ACSTAB_JOBS"
          (Printf.sprintf
-            "acstab: warning: invalid %s=%S (expected %s); using %s"
-            name s expected (show fallback));
+            "acstab: warning: invalid ACSTAB_JOBS=%S (expected an integer \
+             >= 1); using %d"
+            s fallback);
        fallback)
-
-let default_jobs () =
-  env_parse "ACSTAB_JOBS" ~parse:parse_jobs
-    ~expected:"an integer >= 1" ~show:string_of_int
-    (Domain.recommended_domain_count ())
-
-(* Guards [requested], [oversub] and [pool] below (configuration only —
-   never touched on the scheduling fast path). *)
-let config = Mutex.create ()
 
 (* Total parallelism, submitting domain included: [effective_jobs () - 1]
    worker domains are kept. *)
-let requested = ref (default_jobs ())
-let oversub = ref (env_flag "ACSTAB_OVERSUBSCRIBE")
+let requested = Atomic.make (default_jobs ())
+let oversub = Atomic.make false
+let jobs () = Atomic.get requested
+let set_oversubscribe b = Atomic.set oversub b
+
+(* Guards [pool] (configuration only, never on the scheduling path). *)
+let config = Mutex.create ()
 let pool : pool option ref = ref None
 
-let jobs () =
+let locked f =
   Mutex.lock config;
-  let n = !requested in
-  Mutex.unlock config;
-  n
-
-(* Chunks dealt but not yet claimed, summed over the worker deques.
-   Length reads are unsynchronised on purpose (same racy-read contract
-   as the steal victim scan): this is a gauge sample, and a value one
-   chunk stale cannot corrupt anything. *)
-let queued_chunks () =
-  Mutex.lock config;
-  let p = !pool in
-  Mutex.unlock config;
-  match p with
-  | None -> 0
-  | Some p ->
-    Array.fold_left (fun acc w -> acc + Deque.length w.deque) 0 p.workers
-
-let set_oversubscribe b =
-  Mutex.lock config;
-  oversub := b;
-  Mutex.unlock config
-
-let oversubscribe () =
-  Mutex.lock config;
-  let b = !oversub in
-  Mutex.unlock config;
-  b
+  Fun.protect ~finally:(fun () -> Mutex.unlock config) f
 
 (* OCaml 5 minor collections are stop-the-world across all domains, so
-   running more domains than cores does not just time-slice — every
-   minor GC waits for the descheduled domains, and the whole process
-   runs at the speed of the slowest time slice. That is what made the
-   original jobs curve *invert* on small machines: `-j 4` on one core
-   was ~2.3x slower than `-j 1`. The pool therefore clamps the domain
-   count to the hardware unless oversubscription is explicitly forced
-   ([set_oversubscribe] / ACSTAB_OVERSUBSCRIBE=1 — used by the
-   scheduler's own tests to exercise real stealing on small CI boxes). *)
+   more domains than cores make every minor GC wait for descheduled
+   ones: `-j 4` on one core once ran ~2.3x slower than `-j 1`. The pool
+   therefore clamps to the hardware unless [set_oversubscribe] forces
+   it (the scheduler tests do). *)
 let effective_jobs () =
-  Mutex.lock config;
-  let n = !requested and o = !oversub in
-  Mutex.unlock config;
-  if o then n
+  let n = Atomic.get requested in
+  if Atomic.get oversub then n
   else Int.min n (Int.max 1 (Domain.recommended_domain_count ()))
 
-(* ---- adaptive chunk granularity ---- *)
-
-(* EWMA of the cost of one [body i] call in ns, updated after every
-   chunk. 0 = no estimate yet. A lossy single compare-and-set is enough:
-   this is a heuristic, and a dropped update under contention is cheaper
-   than a retry loop. *)
-let item_cost_ns = Atomic.make 0
-
-let chunk_target_ns =
-  let ms =
-    env_parse "ACSTAB_CHUNK_MS" ~parse:parse_chunk_ms
-      ~expected:"a positive number of milliseconds"
-      ~show:(Printf.sprintf "%g")
-      1.0 (* 1 ms of work per chunk *)
-  in
-  Atomic.make (int_of_float (ms *. 1e6))
-
-let set_chunk_target_ms ms =
-  if ms > 0. then Atomic.set chunk_target_ns (int_of_float (ms *. 1e6))
-
-let chunk_target_ms () = float_of_int (Atomic.get chunk_target_ns) *. 1e-6
-
-let note_item_cost ~items dt =
-  if items > 0 && dt > 0 then begin
-    let per = dt / items in
-    let old = Atomic.get item_cost_ns in
-    let next = if old = 0 then per else old + ((per - old) / 8) in
-    ignore (Atomic.compare_and_set item_cost_ns old next)
-  end
-
-(* Chunk size targeting [chunk_target_ns] of work per chunk, so tiny
-   items get batched (dealing/stealing overhead amortised) and huge
-   items still split fine enough to balance. Capped at half a deal per
-   participant — at least two chunks each — so stealing can still even
-   out a straggler. Before the first estimate exists, fall back to the
-   fixed ~8-chunks-per-participant split. *)
-let default_chunk ~participants n =
-  let cost = Atomic.get item_cost_ns in
-  if cost <= 0 then Int.max 1 (n / (participants * 8))
-  else begin
-    let ideal = Atomic.get chunk_target_ns / cost in
-    let cap = Int.max 1 (n / (participants * 2)) in
-    Int.max 1 (Int.min ideal cap)
-  end
+(* Chunks of the live batch not yet claimed — a gauge sample, so a racy
+   read of [current] is good enough. *)
+let queued_chunks () =
+  match locked (fun () -> Option.bind !pool (fun p -> p.current)) with
+  | None -> 0
+  | Some b -> Int.max 0 (b.nchunks - Atomic.get b.next)
 
 (* ---- chunk execution ---- *)
 
 let chunk_ms_histogram = Obs.Histogram.make "pool.chunk_ms"
 
-let run_chunk ~busy c =
+let run_chunk ~busy b k =
   Obs.Counter.incr chunks_counter;
   Atomic.incr busy_now;
-  (* One span per chunk, recorded on the executing domain: the Chrome
-     trace then shows every worker's lane ([tid] = domain id) filled
-     with its chunks — the visual form of the busy-time counters. Cheap
-     enough because a chunk amortises many [body] calls. *)
+  let lo = k * b.csize in
+  let hi = Int.min b.n (lo + b.csize) in
+  (* One span per chunk, on the executing domain's lane of the Chrome
+     trace; a chunk amortises many [body] calls. *)
   let span = Obs.Span.enter () in
   let t0 = Obs.Clock.now_ns () in
-  let j = c.job in
   (try
-     let i = ref c.lo in
+     let i = ref lo in
      (* Stop early once a sibling chunk failed: the submitter only
         reports the first exception, so the rest is wasted work. *)
-     while !i < c.hi && Atomic.get j.failed = None do
-       j.body !i;
+     while !i < hi && Atomic.get b.failed = None do
+       b.body !i;
        incr i
      done
    with e ->
      let bt = Printexc.get_raw_backtrace () in
-     ignore (Atomic.compare_and_set j.failed None (Some (e, bt))));
+     ignore (Atomic.compare_and_set b.failed None (Some (e, bt))));
   let dt = Obs.Clock.now_ns () - t0 in
   Atomic.decr busy_now;
-  Obs.Span.leave "pool.chunk" ~args:[ ("items", c.hi - c.lo) ] span;
+  Obs.Span.leave "pool.chunk" ~args:[ ("items", hi - lo) ] span;
   Obs.Histogram.observe chunk_ms_histogram (float_of_int dt *. 1e-6);
-  Obs.Counter.add busy dt;
-  note_item_cost ~items:(c.hi - c.lo) dt;
-  (* Atomic countdown; only the last chunk takes the submitter's lock. *)
-  if Atomic.fetch_and_add j.unfinished (-1) = 1 then begin
-    Mutex.lock j.done_lock;
-    Condition.signal j.done_cv;
-    Mutex.unlock j.done_lock
-  end
+  Obs.Counter.add busy dt
 
-(* ---- finding work ---- *)
-
-(* Pop the back of our own deque ([me >= 0]); else steal from the front
-   of the longest other deque, [try_lock] only — a busy victim costs a
-   counted failure, not a wait. Length reads are racy by design: a stale
-   length wastes one attempt, it cannot corrupt the deque (every
-   mutation is under the owner's lock). *)
-let try_find p me =
-  let own =
-    if me >= 0 then begin
-      let w = p.workers.(me) in
-      Mutex.lock w.lock;
-      let c = Deque.pop_back w.deque in
-      Mutex.unlock w.lock;
-      c
+(* Claim chunks from the shared cursor until it passes the end. The
+   participant that finishes the last chunk wakes the submitter; the
+   lock closes the race with a submitter about to wait. *)
+let drain p ~busy b =
+  let rec claim () =
+    let k = Atomic.fetch_and_add b.next 1 in
+    if k < b.nchunks then begin
+      run_chunk ~busy b k;
+      if Atomic.fetch_and_add b.pending (-1) = 1 then begin
+        Mutex.lock p.lock;
+        Condition.signal p.finished;
+        Mutex.unlock p.lock
+      end;
+      claim ()
     end
-    else None
   in
-  match own with
-  | Some _ as c -> c
-  | None ->
-    let nw = Array.length p.workers in
-    let attempt k =
-      let w = p.workers.(k) in
-      if Mutex.try_lock w.lock then begin
-        let c = Deque.pop_front w.deque in
-        Mutex.unlock w.lock;
-        (match c with
-         | Some _ when me >= 0 -> Obs.Counter.incr steals_counter
-         | _ -> ());
-        c
-      end
-      else begin
-        Obs.Counter.incr steal_fails_counter;
-        None
-      end
-    in
-    let victim = ref (-1) and best = ref 0 in
-    for k = 0 to nw - 1 do
-      if k <> me then begin
-        let len = Deque.length p.workers.(k).deque in
-        if len > !best then begin
-          victim := k;
-          best := len
-        end
-      end
-    done;
-    if !victim < 0 then None
-    else begin
-      match attempt !victim with
-      | Some _ as c -> c
-      | None ->
-        let got = ref None in
-        let k = ref 0 in
-        while !got = None && !k < nw do
-          if !k <> me && !k <> !victim
-             && Deque.length p.workers.(!k).deque > 0
-          then got := attempt !k;
-          incr k
-        done;
-        !got
-    end
+  claim ()
 
-(* Blocking verification scan: take every other deque's lock in turn
-   (waits are measured into [pool.lock_wait_ns]) and pop the first chunk
-   found. A [None] from here is authoritative — every queued chunk has
-   been claimed — so the caller may park. *)
-let find_verified p me =
-  let nw = Array.length p.workers in
-  let got = ref None in
-  let k = ref 0 in
-  while !got = None && !k < nw do
-    if !k <> me then begin
-      let w = p.workers.(!k) in
-      let t0 = Obs.Clock.now_ns () in
-      Mutex.lock w.lock;
-      Obs.Counter.add lock_wait_counter (Obs.Clock.now_ns () - t0);
-      let c = Deque.pop_front w.deque in
-      Mutex.unlock w.lock;
-      (match c with
-       | Some _ when me >= 0 -> Obs.Counter.incr steals_counter
-       | _ -> ());
-      got := c
-    end;
-    incr k
-  done;
-  !got
-
-let worker p me () =
+let worker p busy () =
   Domain.DLS.set worker_flag true;
-  let w = p.workers.(me) in
-  let busy = w.busy in
-  let rec loop () =
-    if Atomic.get p.stop then ()
-    else begin
-      (* Sample the epoch before scanning: a deal that lands mid-scan
-         bumps it, and the re-check under our own lock below turns the
-         would-be sleep into a rescan. *)
-      let seen = Atomic.get p.epoch in
-      let c =
-        match try_find p me with
-        | Some _ as c -> c
-        | None -> find_verified p me
-      in
-      match c with
-      | Some c ->
-        run_chunk ~busy c;
-        loop ()
-      | None ->
-        Mutex.lock w.lock;
-        if Atomic.get p.stop
-           || Atomic.get p.epoch <> seen
-           || Deque.length w.deque > 0
-        then Mutex.unlock w.lock
-        else begin
-          Condition.wait w.cond w.lock;
-          Mutex.unlock w.lock
-        end;
-        loop ()
+  let rec loop seen =
+    Mutex.lock p.lock;
+    while (not p.stop) && p.generation = seen do
+      Condition.wait p.wake p.lock
+    done;
+    let stop = p.stop and seen = p.generation and b = p.current in
+    Mutex.unlock p.lock;
+    if not stop then begin
+      Option.iter (drain p ~busy) b;
+      loop seen
     end
   in
-  loop ()
+  loop 0
 
 (* ---- lifecycle ---- *)
 
-(* Ask the current workers to exit and join them. Submissions are
-   synchronous ([run] returns only once its job is drained), so there are
-   never pending chunks here. *)
-let shutdown () =
-  Mutex.lock config;
-  let p = !pool in
-  pool := None;
-  Mutex.unlock config;
-  match p with
-  | None -> ()
-  | Some p ->
-    Atomic.set p.stop true;
-    Atomic.incr p.epoch;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.lock;
-        Condition.broadcast w.cond;
-        Mutex.unlock w.lock)
-      p.workers;
-    Array.iter Domain.join p.domains
+(* A worker looks at [stop] only between batches, and the submitter
+   can drain its whole batch alone, so stopping never strands a chunk. *)
+let stop_pool p =
+  Mutex.lock p.lock;
+  p.stop <- true;
+  Condition.broadcast p.wake;
+  Mutex.unlock p.lock;
+  Array.iter Domain.join p.domains
 
+let shutdown () =
+  let p =
+    locked (fun () ->
+      let p = !pool in
+      pool := None;
+      p)
+  in
+  Option.iter stop_pool p
+
+(* The next submission respawns lazily at the new size. *)
 let set_jobs n =
   let n = Int.max 1 n in
-  Mutex.lock config;
-  let changed = !requested <> n in
-  requested := n;
-  Mutex.unlock config;
-  (* Resize eagerly only downward-to-idle; the next submission respawns
-     lazily at the new size either way. *)
-  if changed then shutdown ()
+  if Atomic.exchange requested n <> n then shutdown ()
 
-(* Lazily (re)start the workers. Returns [None] when the effective
-   parallelism is 1 — callers then run inline with zero overhead. *)
-let ensure_pool () =
-  let target = effective_jobs () - 1 in
-  Mutex.lock config;
-  let current = !pool in
-  Mutex.unlock config;
-  let ok =
-    match current with
-    | Some p -> Array.length p.domains = target
-    | None -> target < 1
+let spawn target =
+  let p =
+    { domains = [||];
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      finished = Condition.create ();
+      current = None;
+      generation = 0;
+      stop = false }
   in
-  if ok then current
-  else begin
-    shutdown ();
-    if target < 1 then None
-    else begin
-      let workers =
-        Array.init target (fun k ->
-          { deque = Deque.create ();
-            lock = Mutex.create ();
-            cond = Condition.create ();
-            busy = worker_busy_counter k })
-      in
-      let p =
-        { workers;
-          domains = [||];
-          stop = Atomic.make false;
-          epoch = Atomic.make 0 }
-      in
-      p.domains <- Array.init target (fun k -> Domain.spawn (worker p k));
-      Mutex.lock config;
-      pool := Some p;
-      Mutex.unlock config;
-      Some p
-    end
-  end
+  p.domains <-
+    Array.init target (fun k ->
+        Domain.spawn (worker p (worker_busy_counter k)));
+  p
+
+(* Lazily (re)start the workers, under [config] so that domains
+   submitting at once never spawn two pools. Returns [None] when the
+   effective parallelism is 1 — callers then run inline. *)
+let ensure_pool () =
+  let stale, p =
+    locked (fun () ->
+      let target = effective_jobs () - 1 in
+      match !pool with
+      | Some p when Array.length p.domains = target -> (None, Some p)
+      | old ->
+        pool := (if target < 1 then None else Some (spawn target));
+        (old, !pool))
+  in
+  Option.iter stop_pool stale;
+  p
 
 (* ---- submission ---- *)
 
-(* Inline execution still marks the calling domain as a worker for the
-   duration: nested submissions from the body stay inline, and callers
-   asking [in_worker ()] inside a submission get a consistent answer
-   whether the pool ran their batch on domains or (clamped to one core,
-   or sized to 1) on the calling domain. *)
-let run_inline n body =
+(* Run [f] marked as a worker: nested submissions from it stay inline,
+   and [in_worker ()] answers the same whether a batch ran on the pool
+   or inline on the calling domain. *)
+let as_worker f =
   let saved = Domain.DLS.get worker_flag in
   Domain.DLS.set worker_flag true;
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set worker_flag saved)
-    (fun () ->
-      for i = 0 to n - 1 do
-        body i
-      done)
+  Fun.protect ~finally:(fun () -> Domain.DLS.set worker_flag saved) f
 
-(* Split [0, n) into chunks of [csize] and deal them round-robin over the
-   worker deques; participate by stealing until our own job is drained.
-   Rethrows the first failure with its original backtrace. *)
+let run_inline n body =
+  as_worker (fun () ->
+    for i = 0 to n - 1 do
+      body i
+    done)
+
+(* Publish the batch, drain it alongside the workers, wait for the
+   chunks still in flight, and rethrow the first failure with its
+   original backtrace. *)
 let run_pooled p ~csize n body =
-  let nw = Array.length p.workers in
   let nchunks = (n + csize - 1) / csize in
-  let job =
-    { body;
-      unfinished = Atomic.make nchunks;
-      failed = Atomic.make None;
-      done_lock = Mutex.create ();
-      done_cv = Condition.create () }
+  let b =
+    { body; n; csize; nchunks;
+      next = Atomic.make 0;
+      pending = Atomic.make nchunks;
+      failed = Atomic.make None }
   in
-  Obs.Counter.incr jobs_counter;
-  Obs.Counter.record_max queue_high_water_counter nchunks;
-  for k = 0 to nchunks - 1 do
-    let lo = k * csize in
-    let hi = Int.min n (lo + csize) in
-    let w = p.workers.(k mod nw) in
-    Mutex.lock w.lock;
-    Deque.push_back w.deque { job; lo; hi };
-    Mutex.unlock w.lock
-  done;
-  (* Publish, then wake everyone: even a worker whose own deque got
-     nothing (fewer chunks than workers) must wake to steal. *)
-  Atomic.incr p.epoch;
-  Array.iter
-    (fun w ->
-      Mutex.lock w.lock;
-      Condition.signal w.cond;
-      Mutex.unlock w.lock)
-    p.workers;
-  let rec participate () =
-    if Atomic.get job.unfinished = 0 then ()
-    else begin
-      let c =
-        match try_find p (-1) with
-        | Some _ as c -> c
-        | None -> find_verified p (-1)
-      in
-      match c with
-      | Some c ->
-        (* The submitter counts as a worker while it executes chunks, so
-           nested submissions from the body run inline here too. *)
-        Domain.DLS.set worker_flag true;
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set worker_flag false)
-          (fun () -> run_chunk ~busy:main_busy_counter c);
-        participate ()
-      | None ->
-        (* Verified-empty: the remaining chunks are in flight on
-           workers. Park until the countdown signals; the re-check
-           under [done_lock] closes the race with a completion that
-           landed between the scan and the lock. *)
-        Mutex.lock job.done_lock;
-        if Atomic.get job.unfinished > 0 then
-          Condition.wait job.done_cv job.done_lock;
-        Mutex.unlock job.done_lock;
-        participate ()
-    end
-  in
-  participate ();
-  match Atomic.get job.failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
+  Mutex.lock p.lock;
+  if p.current <> None then begin
+    Mutex.unlock p.lock;
+    run_inline n body
+  end
+  else begin
+    p.current <- Some b;
+    p.generation <- p.generation + 1;
+    Condition.broadcast p.wake;
+    Mutex.unlock p.lock;
+    Obs.Counter.incr jobs_counter;
+    Obs.Counter.record_max queue_high_water_counter nchunks;
+    as_worker (fun () -> drain p ~busy:main_busy_counter b);
+    Mutex.lock p.lock;
+    while Atomic.get b.pending > 0 do
+      Condition.wait p.finished p.lock
+    done;
+    p.current <- None;
+    Mutex.unlock p.lock;
+    match Atomic.get b.failed with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+  end
 
 let parallel_for ?chunk ~n body =
   if n <= 0 then ()
@@ -620,24 +295,19 @@ let parallel_for ?chunk ~n body =
     match ensure_pool () with
     | None -> run_inline n body
     | Some p ->
-      let participants = Array.length p.workers + 1 in
+      let participants = Array.length p.domains + 1 in
       let csize =
         match chunk with
         | Some c when c >= 1 -> c
-        | _ -> default_chunk ~participants n
+        | _ -> Int.max 1 (n / (participants * 8))
       in
       run_pooled p ~csize n body
 
 let map_array ?chunk f a =
   let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for ?chunk ~n (fun i -> out.(i) <- Some (f a.(i)));
-    Array.map
-      (function Some v -> v | None -> assert false)
-      out
-  end
+  let out = Array.make n None in
+  parallel_for ?chunk ~n (fun i -> out.(i) <- Some (f a.(i)));
+  Array.map Option.get out
 
 let map_list ?chunk f l =
   Array.to_list (map_array ?chunk f (Array.of_list l))

@@ -1,4 +1,5 @@
-(** Process-wide persistent worker-domain pool with work stealing.
+(** Process-wide persistent worker-domain pool with one shared chunk
+    cursor.
 
     The paper lists "distributed / computer farm run capability" as a
     feature in development; at workstation scale the bottleneck is not
@@ -7,22 +8,19 @@
     parallel path did) burns more time than the solves it distributes.
 
     This pool starts its worker domains lazily on the first parallel
-    submission and keeps them for the life of the process. Work arrives
-    as index ranges split into chunks and dealt over per-worker deques;
-    idle participants (the submitting domain included) steal chunks from
-    the front of the fullest deque, so an uneven batch — one slow corner
-    among fast ones — rebalances dynamically instead of serialising a
-    static bucket.
-
-    Each worker owns its deque under its own lock and parks on its own
-    condition variable; job completion is an atomic countdown. There is
-    no global scheduler lock: the only cross-worker traffic is stealing
-    (optimistic [try_lock], failures counted not waited on) and the
-    single wake-up signal per deal.
+    submission and keeps them for the life of the process. A submission
+    publishes its index range as one batch split into fixed-size chunks;
+    every participant, the submitting domain included, claims the next
+    chunk from the batch's atomic cursor until none is left, so an
+    uneven batch — one slow corner among fast ones — keeps the other
+    participants busy instead of serialising a static bucket. Idle
+    workers sleep on one condition variable; completion is an atomic
+    countdown, and whoever finishes the last chunk wakes the submitter.
 
     Submissions made from inside a pool task run inline on the calling
     domain: an outer Monte-Carlo fan-out does not oversubscribe the
-    machine with inner sweep parallelism.
+    machine with inner sweep parallelism. A top-level submission that
+    finds another domain's batch still running runs inline too.
 
     Results are deterministic: a task writes only cells of its own index,
     so pooled and sequential executions perform bit-identical arithmetic. *)
@@ -50,13 +48,9 @@ val effective_jobs : unit -> int
     is 1. *)
 
 val set_oversubscribe : bool -> unit
-(** Force the pool to honour [jobs ()] even beyond the core count
-    (also enabled by [ACSTAB_OVERSUBSCRIBE=1]). Meant for scheduler
-    tests that need real worker domains and stealing on small CI
+(** Force the pool to honour [jobs ()] even beyond the core count.
+    Meant for scheduler tests that need real worker domains on small CI
     machines; never an optimisation. *)
-
-val oversubscribe : unit -> bool
-(** Whether oversubscription is currently forced. *)
 
 val parse_jobs : string -> int option
 (** The exact grammar [ACSTAB_JOBS] accepts: an integer [>= 1] with
@@ -65,29 +59,14 @@ val parse_jobs : string -> int option
     and falls back rather than silently clamping. Exposed pure so tests
     can pin the accepted grammar without mutating the environment. *)
 
-val parse_chunk_ms : string -> float option
-(** The exact grammar [ACSTAB_CHUNK_MS] accepts: a finite float [> 0.]
-    with optional surrounding whitespace, in milliseconds. Same warn-
-    and-fall-back contract as {!parse_jobs}. *)
-
-val set_chunk_target_ms : float -> unit
-(** Set the adaptive chunking target: the pool sizes default chunks so
-    one chunk holds about this many milliseconds of work, using a
-    running estimate of per-item cost ([ACSTAB_CHUNK_MS] sets the
-    initial value; default 1.0). Non-positive values are ignored. *)
-
-val chunk_target_ms : unit -> float
-(** The current adaptive chunking target in milliseconds. *)
-
 val busy_workers : unit -> int
 (** Participants (workers or the submitter) currently executing a
     chunk body — point-in-time state for the [pool.busy_workers]
     gauge sampled by the serve daemon. *)
 
 val queued_chunks : unit -> int
-(** Chunks dealt to the worker deques and not yet claimed, racy-read
-    (a gauge sample, not a synchronised count). [0] when the pool is
-    not running. *)
+(** Chunks of the live batch not yet claimed (a gauge sample). [0] when
+    no batch is running. *)
 
 val in_worker : unit -> bool
 (** Whether the calling domain is currently executing a pool task (a
@@ -96,15 +75,13 @@ val in_worker : unit -> bool
 
 val parallel_for : ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for ~n body] runs [body i] for every [i] in [0, n),
-    distributed over the pool. [chunk] overrides the chunk size
-    (default: adaptive — about [chunk_target_ms] of work per chunk once
-    the pool has a per-item cost estimate, else ~8 chunks per
-    participant). Runs inline when [n <= 1], when
-    [effective_jobs () = 1], or when called from inside a pool task;
-    inline runs still set the worker flag for their duration. If any
-    [body] raises, remaining chunks are skipped (best effort) and the
-    first exception is re-raised on the submitter with its original
-    backtrace. *)
+    distributed over the pool. [chunk] sets the chunk size (default:
+    [n / (participants * 8)], at least 1). Runs inline when [n <= 1],
+    when [effective_jobs () = 1], when called from inside a pool task,
+    or when another domain's batch is still running; inline runs still
+    set the worker flag for their duration. If any [body] raises,
+    remaining chunks are skipped (best effort) and the first exception
+    is re-raised on the submitter with its original backtrace. *)
 
 val map_array : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; element order is preserved. *)
@@ -123,20 +100,15 @@ val shutdown : unit -> unit
 
     - [pool.jobs] — pooled submissions
     - [pool.chunks] — chunks executed (by workers or the submitter)
-    - [pool.steals] — chunks a participant took from another worker's
-      deque
-    - [pool.steal_fails] — optimistic steal attempts that found the
-      victim's lock held (contention indicator; failures fall back to a
-      blocking scan, they are never spun on)
-    - [pool.lock_wait_ns] — cumulative time spent blocking on deque
-      locks in the pre-sleep verification scan
-    - [pool.queue_high_water] — largest number of chunks dealt by one
+    - [pool.queue_high_water] — largest number of chunks in one
       submission
     - [pool.worker<k>.busy_ns] / [pool.main.busy_ns] — cumulative time
       spent executing chunk bodies per participant
 
-    Invalid [ACSTAB_JOBS] / [ACSTAB_CHUNK_MS] values print a one-line
-    warning to stderr naming the rejected value and the fallback,
-    instead of being silently ignored — via [Obs.Events.warn_once]
-    keyed by the variable name, so a long-running daemon warns once
-    (and records a structured [Warn] event) rather than per call. *)
+    and the [pool.chunk_ms] histogram, one observation per chunk.
+
+    An invalid [ACSTAB_JOBS] value prints a one-line warning to stderr
+    naming the rejected value and the fallback, instead of being
+    silently ignored — via [Obs.Events.warn_once] keyed by the variable
+    name, so a long-running daemon warns once (and records a structured
+    [Warn] event) rather than per call. *)

@@ -165,10 +165,11 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   (* Frequency points are independent, and each point writes disjoint
      cells of the pre-allocated result arrays — the shared plan is
      immutable after compilation, so pooled execution is bit-identical
-     to sequential. Chunks are dealt dynamically over the persistent
-     pool: no per-sweep domain spawns, and stealing rebalances the
-     tail. The span wraps the whole sweep, never the per-point body:
-     [run_point] must stay allocation-free of instrumentation. *)
+     to sequential. Participants of the persistent pool claim chunks
+     from one shared cursor: no per-sweep domain spawns, and a slow
+     chunk delays only its own participant. The span wraps the whole
+     sweep, never the per-point body: [run_point] must stay
+     allocation-free of instrumentation. *)
   Obs.Counter.incr sweeps_counter;
   if go_parallel then Obs.Counter.incr sweeps_par_counter;
   Obs.Counter.add points_counter (Array.length freqs);

@@ -58,7 +58,6 @@ let across ?parallel corners circ analyse =
       corners
   in
   Job.run_all ?parallel jobs
-  |> List.map (fun (o : _ Job.outcome) -> (o.Job.job_name, o.Job.result))
 
 let temp_sweep ?parallel ~temps circ analyse =
   let jobs =
@@ -68,7 +67,4 @@ let temp_sweep ?parallel ~temps circ analyse =
           fun () -> analyse (Circuit.Netlist.with_temp t circ) ))
       temps
   in
-  List.map2
-    (fun t (o : _ Job.outcome) -> (t, o.Job.result))
-    temps
-    (Job.run_all ?parallel jobs)
+  List.map2 (fun t (_, r) -> (t, r)) temps (Job.run_all ?parallel jobs)

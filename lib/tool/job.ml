@@ -1,69 +1,17 @@
-type 'a outcome = {
-  job_name : string;
-  result : ('a, exn) Result.t;
-  backtrace : Printexc.raw_backtrace option;
-  elapsed_s : float;
-}
-
-let execute (job_name, thunk) =
-  let t_span = Obs.Span.enter () in
-  let t0 = Unix.gettimeofday () in
+let execute (name, thunk) =
+  let span = Obs.Span.enter () in
   match thunk () with
   | v ->
-    Obs.Span.leave ("job:" ^ job_name) t_span;
-    { job_name; result = Ok v; backtrace = None;
-      elapsed_s = Unix.gettimeofday () -. t0 }
+    Obs.Span.leave ("job:" ^ name) span;
+    (name, Ok v)
   | exception e ->
-    (* Capture the backtrace before any further allocation disturbs it:
-       a failing Monte-Carlo sample should name the real crash site, not
-       the scheduler frame that re-raised it. *)
-    let bt = Printexc.get_raw_backtrace () in
-    Obs.Span.leave ~args:[ ("failed", 1) ] ("job:" ^ job_name) t_span;
-    { job_name; result = Error e; backtrace = Some bt;
-      elapsed_s = Unix.gettimeofday () -. t0 }
+    Obs.Span.leave ~args:[ ("failed", 1) ] ("job:" ^ name) span;
+    (name, Error e)
 
-let run_sequential jobs = List.map execute jobs
-
-(* Work-stealing execution over the persistent domain pool, one chunk
-   per job: a slow corner in the middle of the queue no longer holds up
-   the jobs behind it (the old static round-robin buckets serialised
-   exactly that way), and outcomes still come back in submission order.
-   [execute] already converts exceptions into outcomes, so nothing
-   escapes into the pool's abort path. *)
-let run_parallel jobs = Parallel.Pool.map_list ~chunk:1 execute jobs
-
+(* One chunk per job: a slow corner in the middle of the list does not
+   hold up the jobs behind it. [execute] turns exceptions into results,
+   so nothing reaches the pool's failure path. *)
 let run_all ?(parallel = `Auto) jobs =
-  let pooled =
-    match parallel with
-    | `Seq -> false
-    | `Par -> List.length jobs > 1
-    | `Auto -> List.length jobs > 1 && Parallel.Pool.jobs () > 1
-  in
-  if pooled then run_parallel jobs else run_sequential jobs
-
-let results_exn outcomes =
-  List.map
-    (fun o ->
-      match o.result with
-      | Ok v -> v
-      | Error e ->
-        (match o.backtrace with
-         | Some bt -> Printexc.raise_with_backtrace e bt
-         | None -> raise e))
-    outcomes
-
-let pp_summary ppf outcomes =
-  let ok, failed =
-    List.partition (fun o -> Result.is_ok o.result) outcomes
-  in
-  let total = List.fold_left (fun acc o -> acc +. o.elapsed_s) 0. outcomes in
-  Format.fprintf ppf "%d job(s): %d ok, %d failed, %.2f s total CPU@."
-    (List.length outcomes) (List.length ok) (List.length failed) total;
-  List.iter
-    (fun o ->
-      match o.result with
-      | Ok _ -> ()
-      | Error e ->
-        Format.fprintf ppf "  FAILED %s: %s@." o.job_name
-          (Printexc.to_string e))
-    outcomes
+  match parallel with
+  | `Seq -> List.map execute jobs
+  | `Auto | `Par -> Parallel.Pool.map_list ~chunk:1 execute jobs

@@ -2,35 +2,18 @@
 
     The paper lists "remote simulation / distributed / computer farm run
     capability" as a feature in development; this module provides the
-    scheduling semantics at workstation scale: a named queue of independent
-    simulation jobs executed sequentially or over the persistent
-    {!Parallel.Pool} of worker domains, with per-job outcomes (result or
-    captured exception with its backtrace) and wall-clock times.
-    All-nodes stability scans, Monte-Carlo runs and corner sweeps submit
-    through it. *)
-
-type 'a outcome = {
-  job_name : string;
-  result : ('a, exn) Result.t;
-  backtrace : Printexc.raw_backtrace option;
-      (** crash-site backtrace of a failed job, for re-raising *)
-  elapsed_s : float;
-}
+    scheduling semantics at workstation scale: a named list of
+    independent simulation jobs executed sequentially or over the
+    persistent {!Parallel.Pool} of worker domains, each job's exception
+    caught into its own result. Monte-Carlo runs and corner sweeps
+    submit through it. *)
 
 val run_all :
   ?parallel:[ `Auto | `Seq | `Par ] ->
-  (string * (unit -> 'a)) list -> 'a outcome list
-(** Execute the jobs. [`Auto] (the default) runs over the pool whenever
-    there is more than one job and {!Parallel.Pool.jobs} exceeds 1 —
-    each job is one stealable chunk, so uneven job durations rebalance
-    dynamically. [`Seq] forces in-order sequential execution, [`Par]
-    forces pooled execution. Results come back in submission order
-    either way. Jobs must not share mutable state when run in
-    parallel. A job submitted from inside another pool task runs inline
-    (no oversubscription). *)
-
-val results_exn : 'a outcome list -> 'a list
-(** Extract every result, re-raising the first failure with the
-    backtrace captured at its original crash site. *)
-
-val pp_summary : Format.formatter -> 'a outcome list -> unit
+  (string * (unit -> 'a)) list -> (string * ('a, exn) result) list
+(** Execute the jobs and pair each name with its result, in submission
+    order. [`Seq] runs them in order on the calling domain; [`Auto] (the
+    default) and [`Par] submit one pool chunk per job, which runs inline
+    when {!Parallel.Pool.effective_jobs} is 1 or when called from inside
+    another pool task. Jobs must not share mutable state when run in
+    parallel. Each job runs inside a [job:<name>] span. *)

@@ -58,11 +58,8 @@ let run ?parallel ?(spec = default_spec) ~n ~seed circ analyse =
         let s = seed + k in
         (Printf.sprintf "mc-%d" s, fun () -> analyse (sample ~seed:s spec circ)))
   in
-  let outcomes = Job.run_all ?parallel jobs in
   { samples =
-      List.mapi
-        (fun k (o : _ Job.outcome) -> (seed + k, o.Job.result))
-        outcomes }
+      List.mapi (fun k (_, r) -> (seed + k, r)) (Job.run_all ?parallel jobs) }
 
 type stats = {
   count : int;

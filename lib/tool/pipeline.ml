@@ -331,7 +331,7 @@ let manifest_options analysis (o : Stability.Analysis.options) =
            cache fingerprint for that reason), but a manifest should
            still explain its own wall-clock: record what was asked for
            and what the pool would actually use. The pool counter
-           snapshot (pool.steals, pool.queue_high_water, per-worker
+           snapshot (pool.chunks, pool.queue_high_water, per-worker
            busy times, probe.sweeps_par) rides along in the manifest's
            counters section automatically. *)
         ("jobs", string_of_int (Parallel.Pool.jobs ()));

@@ -169,7 +169,7 @@ let () =
     [ "acstab_cache_result_entries"; "acstab_cache_result_capacity";
       "acstab_cache_op_entries"; "acstab_pool_busy_workers";
       "acstab_pool_queue_depth"; "acstab_server_inflight";
-      "acstab_pool_lock_wait_ms_total" ];
+      "acstab_pool_main_busy_ms_total" ];
   if must "acstab_cache_result_entries" < 1. then
     fail "result cache shows no entries after an analyze";
 

@@ -167,8 +167,8 @@ let test_montecarlo_zeta_spread () =
   let y = Tool.Montecarlo.yield run ~ok:(fun z -> z > 0.1) in
   Alcotest.(check bool) "yield sane" true (y > 0.8)
 
-(* Pooled Monte-Carlo runs each sample on whichever worker steals it,
-   so every outcome must depend on its seed alone: sequential and
+(* Pooled Monte-Carlo runs each sample on whichever participant claims
+   it, so every outcome must depend on its seed alone: sequential and
    pooled runs from seed 7 return the same samples bit for bit, with
    real worker domains forced even on a single-core host. *)
 let test_montecarlo_seq_par () =

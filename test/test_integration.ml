@@ -222,7 +222,10 @@ let test_parallel_scan_consistency () =
               .Stability.Analysis.dominant ))
       nodes
   in
-  let par = Tool.Job.run_all ~parallel:`Par jobs |> Tool.Job.results_exn in
+  let par =
+    Tool.Job.run_all ~parallel:`Par jobs
+    |> List.map (fun (_, r) -> Result.get_ok r)
+  in
   List.iter2
     (fun (r : Stability.Analysis.node_result) p ->
       match (r.dominant, p) with

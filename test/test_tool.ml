@@ -265,7 +265,7 @@ let test_jobs_sequential () =
       [ ("a", fun () -> 1); ("b", fun () -> 2); ("c", fun () -> 3) ]
   in
   Alcotest.(check (list int)) "in order" [ 1; 2; 3 ]
-    (Tool.Job.results_exn outcomes)
+    (List.map (fun (_, r) -> Result.get_ok r) outcomes)
 
 let test_jobs_parallel_order_and_errors () =
   let jobs =
@@ -276,10 +276,10 @@ let test_jobs_parallel_order_and_errors () =
   let outcomes = Tool.Job.run_all ~parallel:`Par jobs in
   Alcotest.(check int) "all came back" 12 (List.length outcomes);
   List.iteri
-    (fun i (o : int Tool.Job.outcome) ->
+    (fun i (name, result) ->
       Alcotest.(check string) "submission order"
-        (Printf.sprintf "j%d" i) o.Tool.Job.job_name;
-      match o.Tool.Job.result with
+        (Printf.sprintf "j%d" i) name;
+      match result with
       | Ok v -> Alcotest.(check int) "value" (i * i) v
       | Error _ -> Alcotest.(check int) "only job 7 fails" 7 i)
     outcomes
@@ -295,7 +295,7 @@ let test_jobs_parallel_simulations () =
       temps
   in
   let outcomes = Tool.Job.run_all ~parallel:`Par jobs in
-  let currents = Tool.Job.results_exn outcomes in
+  let currents = List.map (fun (_, r) -> Result.get_ok r) outcomes in
   List.iter
     (fun i -> Alcotest.(check bool) "plausible" true (i > 20e-6 && i < 200e-6))
     currents
