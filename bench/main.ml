@@ -277,6 +277,32 @@ let run_sec12 () =
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                    *)
 
+(* Ablations 2-4 print exact work counts next to indicative times: the
+   median wall clock of [repeats] calls after one warm-up call. Speed
+   claims live in perfbench/, not here. *)
+let median_time ?(repeats = 5) f =
+  ignore (f ());
+  let times =
+    List.init repeats (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (f ());
+        Unix.gettimeofday () -. t0)
+  in
+  List.nth (List.sort compare times) (repeats / 2)
+
+let timing_note () =
+  print_endline "(times: median of 5 runs after a warm-up)"
+
+(* Symbolic analyses and numeric factorisations of the compiled plan
+   during one call: deltas of [Engine.Ac_plan.totals]. *)
+let factorisations f =
+  let a = Engine.Ac_plan.totals () in
+  let r = f () in
+  let b = Engine.Ac_plan.totals () in
+  ( r,
+    b.Engine.Ac_plan.symbolic - a.Engine.Ac_plan.symbolic,
+    b.Engine.Ac_plan.numeric - a.Engine.Ac_plan.numeric )
+
 let run_ablations () =
   section "Ablation 1 -- sweep density and zoom refinement (peak accuracy)";
   (* A sharp tank (zeta = 0.0158, true peak -4000): coarse grids bias the
@@ -313,55 +339,54 @@ let run_ablations () =
   section "Ablation 2 -- shared factorisation vs netlist-level probing";
   (* The all-nodes mode factors the AC matrix once per frequency and
      back-substitutes per net; the naive path rebuilds and refactors per
-     net. Same numbers, different cost. *)
+     net. Same numbers, different cost: the factorisation counts are
+     exact, the times indicative. *)
   let opamp = Workloads.Opamp_2mhz.buffer () in
   let sweep = Numerics.Sweep.decade 1e3 1e9 10 in
   let nodes = Circuit.Netlist.node_names opamp in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let probe = Stability.Probe.prepare opamp in
-  let fast, t_fast =
-    time (fun () -> Stability.Probe.response_many probe ~sweep nodes)
+  let _, fast_sym, fast_num =
+    factorisations (fun () -> Stability.Probe.response_many probe ~sweep nodes)
   in
-  let _slow, t_slow =
-    time (fun () ->
-        List.map
-          (fun n ->
-            (n, Stability.Probe.response_via_netlist opamp ~sweep n))
-          nodes)
+  let t_fast =
+    median_time (fun () -> Stability.Probe.response_many probe ~sweep nodes)
   in
+  let slow () =
+    List.map
+      (fun n -> (n, Stability.Probe.response_via_netlist opamp ~sweep n))
+      nodes
+  in
+  let _, slow_sym, slow_num = factorisations slow in
+  let t_slow = median_time slow in
   Printf.printf
-    "%d nets x %d frequencies: shared factorisation %.3f s, per-net AC \
-     runs %.3f s (%.1fx)\n"
+    "%d nets x %d frequencies: shared factorisation %d symbolic + %d \
+     numeric, %.4f s; per-net AC runs %d symbolic + %d numeric, %.4f s \
+     (%.1fx)\n"
     (List.length nodes)
     (Numerics.Sweep.count sweep)
-    t_fast t_slow (t_slow /. t_fast);
-  ignore fast;
+    fast_sym fast_num t_fast slow_sym slow_num t_slow (t_slow /. t_fast);
+  timing_note ();
 
   section "Ablation 3 -- fixed vs adaptive transient on the Fig 2 run";
-  let fixed, t_fixed =
-    time (fun () -> Engine.Transient.run ~tstop:8e-6 ~tstep:2e-9 opamp)
-  in
-  let adap, t_adap =
-    time (fun () ->
-        Engine.Transient.run_adaptive ~tstop:8e-6 ~dt_start:1e-9
-          ~lte_tol:5e-4 opamp)
+  let fixed () = Engine.Transient.run ~tstop:8e-6 ~tstep:2e-9 opamp in
+  let adaptive () =
+    Engine.Transient.run_adaptive ~tstop:8e-6 ~dt_start:1e-9 ~lte_tol:5e-4
+      opamp
   in
   let os r =
     (Engine.Measure.step_metrics ~initial:2.5 ~final:2.55
        (Engine.Transient.v r "out"))
       .Engine.Measure.overshoot_pct
   in
+  let fixed_r = fixed () and adap_r = adaptive () in
   Printf.printf
-    "fixed: %d pts, %.2f s, overshoot %.0f%%; adaptive: %d pts, %.2f s, \
+    "fixed: %d pts, %.3f s, overshoot %.0f%%; adaptive: %d pts, %.3f s, \
      overshoot %.0f%%\n"
-    (Array.length fixed.Engine.Transient.times)
-    t_fixed (os fixed)
-    (Array.length adap.Engine.Transient.times)
-    t_adap (os adap)
+    (Array.length fixed_r.Engine.Transient.times)
+    (median_time fixed) (os fixed_r)
+    (Array.length adap_r.Engine.Transient.times)
+    (median_time adaptive) (os adap_r);
+  timing_note ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablation 4: dense LU vs the compiled plan on growing ladders         *)
@@ -370,8 +395,8 @@ let rc_ladder n = Workloads.Ladder.rc ~sections:n ()
 
 let run_ablation_plan () =
   section "Ablation 4 -- dense LU vs the compiled plan on growing ladders";
-  Printf.printf "%8s %10s %12s %12s %9s\n" "unknowns" "nets" "dense [s]"
-    "plan [s]" "speedup";
+  Printf.printf "%8s %6s %9s %9s %11s %11s %9s\n" "unknowns" "nets"
+    "plan sym" "plan num" "dense [s]" "plan [s]" "speedup";
   List.iter
     (fun n ->
       let circ = rc_ladder n in
@@ -380,16 +405,20 @@ let run_ablation_plan () =
       let nodes =
         [ Printf.sprintf "n%d" (n / 2); Printf.sprintf "n%d" n ]
       in
-      let time backend =
-        let t0 = Unix.gettimeofday () in
-        ignore (Stability.Probe.response_many ~backend probe ~sweep nodes);
-        Unix.gettimeofday () -. t0
+      let run backend () =
+        Stability.Probe.response_many ~backend probe ~sweep nodes
       in
-      let td = time `Dense and tp = time `Plan in
-      Printf.printf "%8d %10d %12.4f %12.4f %8.1fx\n"
+      (* The plan path runs one symbolic analysis per block (the ladder
+         is one block) and one numeric refactorisation per point; the
+         dense path runs one dense LU per point, as many as the plan's
+         numeric count, with no plan. *)
+      let _, sym, num = factorisations (run `Plan) in
+      let td = median_time (run `Dense) and tp = median_time (run `Plan) in
+      Printf.printf "%8d %6d %9d %9d %11.4f %11.4f %8.1fx\n"
         (probe.Stability.Probe.mna.Engine.Mna.size)
-        (n + 1) td tp (td /. tp))
-    [ 50; 100; 200; 400 ]
+        (List.length nodes) sym num td tp (td /. tp))
+    [ 50; 100; 200; 400 ];
+  timing_note ()
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                              *)

@@ -1156,9 +1156,14 @@ let export_cmd =
   let run () dir =
     let dump name circ =
       let path = Filename.concat dir (name ^ ".sp") in
-      let oc = open_out path in
-      output_string oc (Circuit.Netlist.to_spice circ);
-      close_out oc;
+      (* A directory that does not exist or cannot be written is a
+         usage error, not a crash. *)
+      (try
+         Out_channel.with_open_text path (fun oc ->
+             output_string oc (Circuit.Netlist.to_spice circ))
+       with Sys_error m ->
+         Printf.eprintf "error: %s\n" m;
+         exit 2);
       Printf.printf "wrote %s\n" path
     in
     dump "opamp_2mhz_buffer" (Workloads.Opamp_2mhz.buffer ());

@@ -11,16 +11,21 @@ let phasor (spec : Circuit.Netlist.source_spec) =
   if spec.ac_mag = 0. then Cx.zero
   else Cx.polar spec.ac_mag (spec.ac_phase_deg *. Float.pi /. 180.)
 
-(* The dense system A(w) = G + jwC: each pencil stamp adds g + j(w c)
-   in the pencil's order (source phasors go to the RHS separately:
-   probing analyses reuse the same matrix with their own excitation).
-   Building it from the plan's summed G and C instead would change bits:
-   w * (sum c) is not sum (w * c) in floating point. *)
-let matrix_at mna prims ~gmin ~omega =
-  let a = Cmat.create mna.Mna.size mna.Mna.size in
-  Stamps.pencil mna prims ~gmin (fun i j g c ->
-      Cmat.add_to a i j (Cx.make g (omega *. c)));
+(* The dense system A(w) = G + jwC of diagonal block [b]: each pencil
+   stamp inside the block adds g + j(w c) in the pencil's order (source
+   phasors go to the RHS separately: probing analyses reuse the same
+   matrix with their own excitation). Building it from the plan's summed
+   G and C instead would change bits: w * (sum c) is not sum (w * c) in
+   floating point. *)
+let block_matrix_at blocks b mna prims ~gmin ~omega =
+  let n = Blocks.size blocks b in
+  let a = Cmat.create n n in
+  Blocks.pencil blocks mna prims ~gmin (fun b' i j g c ->
+      if b' = b then Cmat.add_to a i j (Cx.make g (omega *. c)));
   a
+
+let matrix_at mna prims ~gmin ~omega =
+  block_matrix_at (Blocks.whole mna.Mna.size) 0 mna prims ~gmin ~omega
 
 (* Independent-source excitation vector. *)
 let source_rhs mna b =

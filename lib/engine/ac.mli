@@ -39,6 +39,14 @@ val matrix_at :
     analysis; callers linearise once per sweep and pass the
     primitives in. *)
 
+val block_matrix_at :
+  Blocks.t -> int -> Mna.t -> Linearize.prim list -> gmin:float ->
+  omega:float -> Numerics.Cmat.t
+(** [block_matrix_at blocks b ...] is diagonal block [b] of
+    {!matrix_at}, at the block's local indices, summed in the same
+    order: on [Blocks.whole n] block 0 is {!matrix_at} bit for bit. The
+    probe's dense path solves each probed net against its own block. *)
+
 val factor_at :
   ?gmin:float -> op:Dcop.t -> omega:float -> Mna.t -> Numerics.Cmat.factor
 (** LU factor of the small-signal system at one angular frequency. Probing

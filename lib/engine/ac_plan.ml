@@ -15,7 +15,14 @@ open Numerics
      - one numeric refactorisation along the frozen symbolic analysis,
    with no dense matrix and no per-point triplet harvesting. One factor
    then serves every probed node at that frequency via a multi-RHS batch
-   solve. *)
+   solve.
+
+   The probes compile one plan per strongly connected block of the
+   pencil ([Blocks], [compile_blocks]): a net's driving-point response
+   depends only on its block, so each plan holds one diagonal block at
+   local indices and runs its own symbolic analysis. [compile] is the
+   one-block case, the whole system, for the AC analysis whose sources
+   drive every block. *)
 
 type totals = {
   symbolic : int;
@@ -75,59 +82,78 @@ let omega_ref freqs =
 
 (* ---- skeleton compilation ---- *)
 
-let compile ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op mna =
+(* One plan per diagonal block of [blocks], from one fold of the
+   pencil: each entry inside a block is summed into that block's table
+   at its local (row, column), in the pencil's order. On the one-block
+   identity map ([Blocks.whole]) the keys, the summation order and so
+   every bit of the skeleton are those of a whole-system compile. *)
+let compile_blocks ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op
+    ~blocks mna =
   let t_compile = Obs.Span.enter () in
-  let size = mna.Mna.size in
   (* Accumulate the pencil's (g, c) per matrix entry. *)
-  let tbl : (int, float ref * float ref) Hashtbl.t =
-    Hashtbl.create (4 * size)
+  let tbls : (int, float ref * float ref) Hashtbl.t array =
+    Array.init (Blocks.count blocks) (fun b ->
+        Hashtbl.create (4 * Blocks.size blocks b))
   in
-  Stamps.pencil mna (Linearize.of_op op) ~gmin (fun i j g c ->
-      let key = (j * size) + i in
+  Blocks.pencil blocks mna (Linearize.of_op op) ~gmin (fun b i j g c ->
+      let key = (j * Blocks.size blocks b) + i in
       let gr, cr =
-        match Hashtbl.find_opt tbl key with
+        match Hashtbl.find_opt tbls.(b) key with
         | Some cell -> cell
         | None ->
           let cell = (ref 0., ref 0.) in
-          Hashtbl.add tbl key cell;
+          Hashtbl.add tbls.(b) key cell;
           cell
       in
       gr := !gr +. g;
       cr := !cr +. c);
-  (* Flatten to CSC, columns then rows ascending. *)
-  let entries =
-    Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let plan_of b tbl =
+    let size = Blocks.size blocks b in
+    (* Flatten to CSC, columns then rows ascending. *)
+    let entries =
+      Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
+      |> List.sort (fun (x, _, _) (y, _, _) -> compare x y)
+    in
+    let n = List.length entries in
+    let colptr = Array.make (size + 1) 0 in
+    let rowidx = Array.make n 0 in
+    let gvals = Array.make n 0. and cvals = Array.make n 0. in
+    List.iteri
+      (fun p (key, g, c) ->
+        let j = key / size and i = key mod size in
+        colptr.(j + 1) <- colptr.(j + 1) + 1;
+        rowidx.(p) <- i;
+        gvals.(p) <- g;
+        cvals.(p) <- c)
+      entries;
+    for j = 0 to size - 1 do
+      colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+    done;
+    (* One symbolic analysis per block plan. The reference frequency
+       only seeds the pivot order; [omega_ref] defaults to 1 MHz,
+       mid-band for the tool's decade sweeps. *)
+    let values =
+      Array.init n (fun p -> Cx.make gvals.(p) (omega_ref *. cvals.(p)))
+    in
+    let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
+    let sym, _ = Scmat.analyze a in
+    Obs.Counter.incr n_symbolic;
+    { size; colptr; rowidx; gvals; cvals; sym }
   in
-  let n = List.length entries in
-  let colptr = Array.make (size + 1) 0 in
-  let rowidx = Array.make n 0 in
-  let gvals = Array.make n 0. and cvals = Array.make n 0. in
-  List.iteri
-    (fun p (key, g, c) ->
-      let j = key / size and i = key mod size in
-      colptr.(j + 1) <- colptr.(j + 1) + 1;
-      rowidx.(p) <- i;
-      gvals.(p) <- g;
-      cvals.(p) <- c)
-    entries;
-  for j = 0 to size - 1 do
-    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
-  done;
-  (* One symbolic analysis per plan (= per sweep). The reference
-     frequency only seeds the pivot order; [omega_ref] defaults to
-     1 MHz, mid-band for the tool's decade sweeps. *)
-  let values =
-    Array.init n (fun p -> Cx.make gvals.(p) (omega_ref *. cvals.(p)))
-  in
-  let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
-  let sym, _ = Scmat.analyze a in
-  Obs.Counter.incr n_symbolic;
-  let plan = { size; colptr; rowidx; gvals; cvals; sym } in
+  let plans = Array.mapi plan_of tbls in
+  let total f = Array.fold_left (fun acc p -> acc + f p) 0 plans in
   Obs.Span.leave "acplan.compile"
-    ~args:[ ("unknowns", size); ("nnz", n); ("fill", Scmat.fill sym) ]
+    ~args:
+      [ ("unknowns", mna.Mna.size);
+        ("blocks", Array.length plans);
+        ("nnz", total nnz);
+        ("fill", total (fun p -> Scmat.fill p.sym)) ]
     t_compile;
-  plan
+  plans
+
+let compile ?gmin ?omega_ref ~op mna =
+  (compile_blocks ?gmin ?omega_ref ~op ~blocks:(Blocks.whole mna.Mna.size)
+     mna).(0)
 
 let matrix_at t ~omega =
   let values =

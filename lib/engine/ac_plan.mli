@@ -9,17 +9,34 @@
     analysis computed once per plan; one factor serves every probed node
     at that frequency through a multi-RHS batch solve.
 
-    Plans are immutable after {!compile}, so one plan may be shared by
+    A plan holds either the whole system ({!compile}) or one diagonal
+    block of the pencil's block-triangular form ({!compile_blocks}, one
+    plan per block of {!Blocks}, from a single fold of the pencil): the
+    probes solve each net against its own block, and a one-block
+    circuit's plan is the whole-system plan bit for bit.
+
+    Plans are immutable after compilation, so one plan may be shared by
     Domain-parallel sweep workers without locking. *)
 
 type t
 
+val compile_blocks :
+  ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> blocks:Blocks.t ->
+  Mna.t -> t array
+(** One plan per diagonal block of [blocks] (indexed like the blocks),
+    built from a single fold of the pencil: each plan's skeleton holds
+    its block's entries at local indices, and each runs its own
+    symbolic analysis (the [acplan.symbolic] counter moves once per
+    block). [gmin] (default 1e-12) is added on node diagonals exactly
+    as in the dense path. [omega_ref] (default 2*pi*1e6) seeds the
+    pivot order; any in-band frequency works — frequencies where the
+    frozen order goes numerically stale re-pivot automatically. On
+    [Blocks.whole] the one plan is bit for bit the {!compile} plan. *)
+
 val compile : ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> Mna.t -> t
-(** Build the skeleton and run the one-per-sweep symbolic analysis.
-    [gmin] (default 1e-12) is added on node diagonals exactly as in the
-    dense path. [omega_ref] (default 2*pi*1e6) seeds the pivot order;
-    any in-band frequency works — frequencies where the frozen order
-    goes numerically stale re-pivot automatically. *)
+(** The whole system as one plan: {!compile_blocks} on
+    [Blocks.whole]. Sources that drive the system, as in {!Ac}, need
+    every unknown, not one diagonal block. *)
 
 val omega_ref : float array -> float
 (** Mid-band reference frequency of a sweep's points: [2 pi] times the
@@ -88,7 +105,8 @@ val point_health :
     counters. *)
 
 type totals = {
-  symbolic : int;  (** symbolic analyses (one per plan + fallbacks) *)
+  symbolic : int;  (** symbolic analyses (one per plan, so one per block
+                       of a plan set, + fallbacks) *)
   numeric : int;   (** numeric factorisations (one per frequency point) *)
   fallback : int;  (** points where frozen pivots were re-derived *)
   rhs : int;       (** right-hand sides solved *)

@@ -6,22 +6,25 @@ type pole = {
   zeta : float;
 }
 
-(* The pencil G + sC as two dense real matrices. *)
-let system_matrices ?(gmin = 1e-12) (op : Dcop.t) =
-  let mna = op.Dcop.mna in
-  let size = mna.Mna.size in
-  let g = Rmat.create size size and c = Rmat.create size size in
-  Stamps.pencil mna (Linearize.of_op op) ~gmin (fun i j gv cv ->
-      Rmat.add_to g i j gv;
-      Rmat.add_to c i j cv);
+(* Each diagonal block's pencil G + sC as two dense real matrices, from
+   one fold of the pencil. *)
+let block_matrices ~gmin blocks mna prims =
+  let make () =
+    Array.init (Blocks.count blocks) (fun b ->
+        Rmat.create (Blocks.size blocks b) (Blocks.size blocks b))
+  in
+  let g = make () and c = make () in
+  Blocks.pencil blocks mna prims ~gmin (fun b i j gv cv ->
+      Rmat.add_to g.(b) i j gv;
+      Rmat.add_to c.(b) i j cv);
   (g, c)
 
-let compute ?gmin ?(max_hz = 1e12) op =
-  let g, c = system_matrices ?gmin op in
+(* The finite poles of one block's pencil. They satisfy G x = -s C x.
+   With G invertible (gmin guarantees it), the eigenvalues mu of G^-1 C
+   give s = -1/mu; mu ~ 0 corresponds to the pencil's infinite
+   eigenvalues (nodes without storage). *)
+let block_poles ~smax g c =
   let n = Rmat.rows g in
-  (* Poles satisfy G x = -s C x. With G invertible (gmin guarantees it),
-     the eigenvalues mu of G^-1 C give s = -1/mu; mu ~ 0 corresponds to the
-     pencil's infinite eigenvalues (nodes without storage). *)
   let lu = Rmat.lu_factor g in
   let m =
     Rmat.init n n (fun _ _ -> 0.)
@@ -33,9 +36,7 @@ let compute ?gmin ?(max_hz = 1e12) op =
       Rmat.set m i j x.(i)
     done
   done;
-  let mus = Eigen.eigenvalues m in
-  let smax = 2. *. Float.pi *. max_hz in
-  mus
+  Eigen.eigenvalues m
   |> List.filter_map (fun mu ->
       if Cx.mag mu < 1. /. smax then None
       else begin
@@ -43,6 +44,18 @@ let compute ?gmin ?(max_hz = 1e12) op =
         let wn = Cx.mag s in
         Some { s; freq_hz = wn /. (2. *. Float.pi); zeta = -.s.Complex.re /. wn }
       end)
+
+(* The pencil is block-triangular in its strongly connected blocks, so
+   its eigenvalues are those of the diagonal blocks. Solving each block
+   on its own also keeps the eigen-solve well posed: on a chain of
+   nearly equal stages the whole-system G^-1 C has nearly repeated
+   eigenvalues with one-way coupling between them, and the computed
+   ones scatter off the true ones (a stable chain read as unstable). *)
+let compute ?(gmin = 1e-12) ?(max_hz = 1e12) (op : Dcop.t) =
+  let mna = op.Dcop.mna and prims = Linearize.of_op op in
+  let g, c = block_matrices ~gmin (Blocks.of_pencil mna prims) mna prims in
+  let smax = 2. *. Float.pi *. max_hz in
+  List.concat (Array.to_list (Array.map2 (block_poles ~smax) g c))
   |> List.sort (fun a b -> compare (Cx.mag a.s) (Cx.mag b.s))
 
 let of_circuit ?gmin ?max_hz circ =

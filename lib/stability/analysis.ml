@@ -26,9 +26,10 @@ let probe_backend opts =
   | `Auto -> None
   | (`Dense | `Plan | `Kernel) as b -> Some b
 
-(* One compiled plan for the whole run mode: the coarse scan and every
-   zoom window share the circuit's MNA pattern, so they share its
-   symbolic analysis too. [None] on the dense paths. *)
+(* One compiled plan set (one plan per block) for the whole run mode:
+   the coarse scan and every zoom window share the circuit's MNA
+   pattern, so they share its symbolic analyses too. [None] on the
+   dense paths. *)
 let shared_plan opts probe =
   let plan_backed =
     match opts.backend with
@@ -39,13 +40,13 @@ let shared_plan opts probe =
   in
   if plan_backed then Some (Probe.plan probe ~sweep:opts.sweep) else None
 
-(* One compiled kernel per run mode, for the same reason: coarse scan
-   and zoom windows share the plan's symbolic analysis, hence also its
-   flattened kernel program. [None] unless the kernel backend is
-   selected. *)
+(* One compiled kernel per block plan per run mode, for the same
+   reason: coarse scan and zoom windows share each plan's symbolic
+   analysis, hence also its flattened kernel program. [None] unless the
+   kernel backend is selected. *)
 let shared_kernel opts plan =
   match (opts.backend, plan) with
-  | `Kernel, Some p -> Some (Engine.Kernel.compile p)
+  | `Kernel, Some p -> Some (Array.map Engine.Kernel.compile p)
   | _ -> None
 
 let response_many opts ?plan ?kernel ?health probe nodes ~sweep =
@@ -71,10 +72,11 @@ let rcond_suspect = 1e-11
 let residual_degraded = 1e-9
 let residual_suspect = 1e-5
 
-(* The health meter is shared by every sweep of a run (all nodes of a
-   sweep share each frequency point's factorisation, so factorisation
-   health is genuinely collective); the clamp count is the per-node
-   signal layered on top. *)
+(* A block's health meter is shared by every sweep of that block in a
+   run (all nets of a block share each frequency point's factorisation,
+   so factorisation health is genuinely collective within it, and a
+   badly conditioned block does not drag down the nets of another); the
+   clamp count is the per-node signal layered on top. *)
 let grade health degraded =
   let by_health =
     match health with
@@ -297,8 +299,9 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
   List.map
     (fun (node, plot, degraded, peaks) ->
       let peaks = List.mapi (fun slot pk -> refined_of node slot pk) peaks in
+      let meter = Option.map (fun h -> h.(Probe.block_of probe node)) health in
       { node; plot; peaks; dominant = Peaks.dominant peaks; degraded;
-        quality = grade health degraded })
+        quality = grade meter degraded })
     coarse
 
 let analyze_node opts ?plan ?kernel ?health probe node response =
@@ -311,6 +314,11 @@ let analyze_node opts ?plan ?kernel ?health probe node response =
           an ideal source?)"
          node)
 
+(* One health meter per block of the probe. *)
+let meters probe =
+  Array.init (Engine.Blocks.count probe.Probe.blocks) (fun _ ->
+      Engine.Health.meter ())
+
 let single_node_prepared ?(options = default_options) ?plan ?kernel probe
     node =
   let plan =
@@ -321,7 +329,7 @@ let single_node_prepared ?(options = default_options) ?plan ?kernel probe
     | Some _ as k -> k
     | None -> shared_kernel options plan
   in
-  let health = Engine.Health.meter () in
+  let health = meters probe in
   let t0 = Obs.Span.enter () in
   let w =
     match
@@ -350,7 +358,7 @@ let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
     | Some _ as k -> k
     | None -> shared_kernel options plan
   in
-  let health = Engine.Health.meter () in
+  let health = meters probe in
   let t0 = Obs.Span.enter () in
   let responses =
     response_many options ?plan ?kernel ~health probe all ~sweep:options.sweep

@@ -14,10 +14,14 @@
     {!Probe.response_many} call per frequency group, sharing each
     per-point factorisation across every node of the loop.
 
-    On the plan-backed solver paths a run mode compiles exactly one
-    {!Engine.Ac_plan} and reuses it for the coarse scan and every zoom
-    window — one symbolic analysis for an entire all-nodes run,
-    refinement included ({!Engine.Ac_plan.totals} counters verify it). *)
+    Each net is probed through its own strongly connected block of the
+    pencil ({!Probe}, {!Engine.Blocks}). On the plan-backed solver paths
+    a run mode compiles exactly one {!Engine.Ac_plan} per block and
+    reuses the set for the coarse scan and every zoom window — one
+    symbolic analysis per block for an entire all-nodes run, refinement
+    included ({!Engine.Ac_plan.totals} counters verify it) — and keeps
+    one health meter per block, so each net is graded by the
+    factorisations of its own block. *)
 
 type options = {
   sweep : Numerics.Sweep.t;      (** coarse sweep (default 1 kHz - 1 GHz,
@@ -32,8 +36,9 @@ type options = {
   dc_options : Engine.Dcop.options;
   parallel : [ `Auto | `Seq | `Par ];
   (** distribution of the sweeps over the persistent {!Parallel.Pool}.
-      [`Auto] (the default) parallelises when the pool has workers and
-      the sweep's volume clears {!Probe.auto_threshold}; [`Par] forces
+      [`Auto] (the default) parallelises a block's sweep when the pool
+      has workers and that sweep's volume clears
+      {!Probe.auto_threshold}; [`Par] forces
       pooled execution, [`Seq] forces sequential. Results are
       bit-identical in every mode. *)
   backend : [ `Auto | `Dense | `Plan | `Kernel ];
@@ -52,8 +57,8 @@ val default_options : options
 type quality = Good | Degraded | Suspect
 (** Numerical trustworthiness of a node's analysis, derived from the
     worst sampled factorisation health (reciprocal condition estimate,
-    scaled residual — see {!Engine.Health}) across the run's sweeps plus
-    the node's own clamp count. [Good]: nothing noteworthy. [Degraded]:
+    scaled residual — see {!Engine.Health}) across the run's sweeps of
+    the node's block plus the node's own clamp count. [Good]: nothing noteworthy. [Degraded]:
     rcond below 1e-8, scaled residual above 1e-9, or clamped samples —
     peak numbers carry fewer digits than usual. [Suspect]: rcond below
     1e-11 or residual above 1e-5 — the linear solves themselves are not
@@ -75,9 +80,9 @@ type node_result = {
       its peaks deserve scrutiny. Reports flag such nodes. *)
   quality : quality;
   (** numerical-health grade of this node's analysis (see {!quality}).
-      The factorisation-health component is shared by all nodes of a run
-      (every node's solves go through the same per-point factors); the
-      clamp component is per-node. *)
+      The factorisation-health component is shared by all nodes of one
+      block in a run (their solves go through the same per-point
+      factors); the clamp component is per-node. *)
 }
 
 val single_node :
@@ -92,31 +97,34 @@ val all_nodes :
     Results come back in net-name order. *)
 
 val single_node_prepared :
-  ?options:options -> ?plan:Engine.Ac_plan.t -> ?kernel:Engine.Kernel.t ->
-  Probe.t -> Circuit.Netlist.node -> node_result
+  ?options:options -> ?plan:Engine.Ac_plan.t array ->
+  ?kernel:Engine.Kernel.t array -> Probe.t -> Circuit.Netlist.node ->
+  node_result
 (** As {!single_node} with a pre-computed operating point. [plan] hands
-    in an already-compiled solve plan (see {!shared_plan}) so a caller
+    in an already-compiled plan set (see {!shared_plan}) so a caller
     holding one — the fingerprint-keyed [Tool.Cache] across repeated
     requests on the same deck — pays zero further symbolic analyses;
-    [kernel] does the same for the compiled kernel program (see
+    [kernel] does the same for the compiled kernel programs (see
     {!shared_kernel}) on the [`Kernel] backend. *)
 
 val all_nodes_prepared :
   ?options:options -> ?nodes:Circuit.Netlist.node list ->
-  ?plan:Engine.Ac_plan.t -> ?kernel:Engine.Kernel.t -> Probe.t ->
-  node_result list
+  ?plan:Engine.Ac_plan.t array -> ?kernel:Engine.Kernel.t array ->
+  Probe.t -> node_result list
 
-val shared_plan : options -> Probe.t -> Engine.Ac_plan.t option
-(** The plan a run mode would compile for these options: [Some] exactly
-    when the configured backend is plan-backed ([`Plan], [`Kernel], or
-    [`Auto] above {!Engine.Ac_plan.dense_cutoff} unknowns), [None] on
-    the dense paths. Compiling costs one symbolic analysis; the result
-    is valid for any sweep of the same prepared circuit. *)
+val shared_plan : options -> Probe.t -> Engine.Ac_plan.t array option
+(** The plan set a run mode would compile for these options, one plan
+    per block of the probe ({!Probe.plan}): [Some] exactly when the
+    configured backend is plan-backed ([`Plan], [`Kernel], or [`Auto]
+    above {!Engine.Ac_plan.dense_cutoff} unknowns of the whole system),
+    [None] on the dense paths. Compiling costs one symbolic analysis per
+    block; the set is valid for any sweep of the same prepared
+    circuit. *)
 
 val shared_kernel :
-  options -> Engine.Ac_plan.t option -> Engine.Kernel.t option
-(** The kernel a run mode would compile from that plan: [Some] exactly
-    when the configured backend is [`Kernel] and a plan exists.
-    Compilation is cheap (array flattening, no factorisation) and the
-    kernel, like the plan, is valid for any sweep of the same prepared
-    circuit. *)
+  options -> Engine.Ac_plan.t array option -> Engine.Kernel.t array option
+(** The kernels a run mode would compile from that plan set, one per
+    block plan: [Some] exactly when the configured backend is [`Kernel]
+    and a plan set exists. Compilation is cheap (array flattening, no
+    factorisation) and the kernels, like the plans, are valid for any
+    sweep of the same prepared circuit. *)

@@ -8,35 +8,55 @@
     the all-nodes mode factors the matrix once per frequency and back-
     substitutes one RHS per net. A netlist-level path (attach a real
     [Isource] probe and run a plain AC analysis) is kept as the reference
-    implementation; both agree to solver precision. *)
+    implementation; both agree to solver precision.
+
+    The response at net k, T_k(s) = e_k' (G + sC)^-1 e_k, depends only on
+    the diagonal block of the pencil's block-triangular form that holds k
+    ({!Engine.Blocks}): the per-observation-node view. So every probe
+    solves each net against its own block. {!prepare} finds the blocks
+    once; {!plan} compiles one {!Engine.Ac_plan} per block;
+    {!response_many} sweeps each group of probed nets against its block
+    on every backend, dense included, and never factors a block it does
+    not probe. A one-block circuit (the op-amp, the RC ladder) runs the
+    whole system with the identity map, bit for bit as a whole-system
+    solve. *)
 
 type t = {
   mna : Engine.Mna.t;
   op : Engine.Dcop.t;
+  blocks : Engine.Blocks.t;
+  (** the strongly connected blocks of the pencil at [op] *)
 }
 
 val prepare :
   ?dc_options:Engine.Dcop.options -> Circuit.Netlist.t -> t
-(** Compile the design and find its operating point once. Pre-existing AC
-    stimuli are irrelevant to probing (the probe provides its own
-    excitation and ignores the sources' AC values — the tool's "auto-zero
-    all AC sources" feature). *)
+(** Compile the design, find its operating point and split the pencil
+    there into its blocks, once. Pre-existing AC stimuli are irrelevant
+    to probing (the probe provides its own excitation and ignores the
+    sources' AC values — the tool's "auto-zero all AC sources"
+    feature). *)
+
+val block_of : t -> Circuit.Netlist.node -> int
+(** The block that holds a (non-ground) net. *)
 
 val response :
   ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Circuit.Netlist.node ->
   Numerics.Waveform.Freq.t
 (** Driving-point transimpedance of one net across a sweep. *)
 
-val plan : ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Engine.Ac_plan.t
-(** Compile the probe's MNA system into an AC solve plan seeded at the
-    sweep's mid-band frequency. The plan is valid for {e any} sweep of
-    the same circuit — hand it to several {!response_many} calls (a
-    coarse scan plus its zoom refinements) to pay for exactly one
-    symbolic analysis in total. *)
+val plan :
+  ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Engine.Ac_plan.t array
+(** Compile the probe's blocks into AC solve plans, one per block of
+    [t.blocks] and indexed like them, from one fold of the pencil, seeded
+    at the sweep's mid-band frequency. The set is valid for {e any}
+    sweep of the same circuit — hand it to several {!response_many}
+    calls (a coarse scan plus its zoom refinements) to pay for exactly
+    one symbolic analysis per block in total. *)
 
 val auto_threshold : int
-(** Arithmetic volume (unknowns x points x probed nets) above which
-    [`Auto] distributes a sweep over the {!Parallel.Pool}. *)
+(** Arithmetic volume (unknowns x points x probed nets of one block's
+    sweep) above which [`Auto] distributes that sweep over the
+    {!Parallel.Pool}. *)
 
 val estimated_work : unknowns:int -> points:int -> nets:int -> int
 (** The volume proxy behind the [`Auto] decision:
@@ -55,36 +75,43 @@ val auto_decision : unknowns:int -> points:int -> nets:int -> bool
 
 val response_many :
   ?gmin:float -> ?backend:[ `Dense | `Plan | `Kernel ] ->
-  ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.t ->
-  ?kernel:Engine.Kernel.t -> ?health:Engine.Health.meter ->
+  ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.t array ->
+  ?kernel:Engine.Kernel.t array -> ?health:Engine.Health.meter array ->
   t -> sweep:Numerics.Sweep.t -> Circuit.Netlist.node list ->
   (Circuit.Netlist.node * Numerics.Waveform.Freq.t) list
-(** Shared-factorisation probing of many nets.
+(** Shared-factorisation probing of many nets, block by block: the nets
+    a block holds are swept together against that block, and the
+    results come back in the order of [nodes].
 
     [`Plan] — the default above {!Engine.Ac_plan.dense_cutoff}
-    unknowns — compiles the sweep once into an {!Engine.Ac_plan}: one
-    symbolic analysis per sweep, one O(nnz) numeric fill and
-    refactorisation per frequency point, and all probed nets solved as
-    one multi-RHS batch per point. [`Dense] (the default for tiny
-    systems) is the oracle path. [`Kernel] compiles the plan one step
-    further into an {!Engine.Kernel} — the flattened, allocation-free
-    factor/solve program — and advances the sweep in chunks of
+    unknowns of the whole system — compiles the sweep once into one
+    {!Engine.Ac_plan} per block: one symbolic analysis per block, one
+    O(nnz) numeric fill and refactorisation per frequency point of each
+    probed block, and all of a block's probed nets solved as one
+    multi-RHS batch per point. [`Dense] (the default for tiny systems)
+    is the oracle path: a dense LU of the probed block at every point.
+    [`Kernel] compiles each block plan one step further into an
+    {!Engine.Kernel} — the flattened, allocation-free factor/solve
+    program — and advances the sweep in chunks of
     {!Engine.Kernel.chunk} points per kernel invocation; its results
     are bit-identical to [`Plan]. Passing [plan] (see {!val:plan})
     skips compilation entirely and implies the [`Plan] backend unless
-    [backend] overrides it; passing [kernel] likewise implies
-    [`Kernel] and skips both compilations.
+    [backend] overrides it; passing [kernel] (one kernel per block
+    plan) likewise implies [`Kernel] and skips both compilations.
+    [plan], [kernel] and [health] must have one entry per block of
+    [t.blocks] ([Invalid_argument] otherwise).
 
-    [parallel] spreads the independent frequency points over the
-    persistent {!Parallel.Pool} in dynamically stolen chunks (the
-    paper's "distributed run" capability at multicore scale). [`Auto]
-    (the default) goes parallel only when the pool has workers and the
-    sweep's volume clears {!auto_threshold}; results are bit-identical
-    to sequential either way.
+    [parallel] spreads each block's independent frequency points over
+    the persistent {!Parallel.Pool} in chunks claimed from one shared
+    cursor (the paper's "distributed run" capability at multicore
+    scale). [`Auto] (the default) goes parallel only when the pool has
+    workers and the block sweep's volume clears {!auto_threshold};
+    results are bit-identical to sequential either way.
 
-    [health] accumulates sampled per-factorisation health (see
-    {!Engine.Health}) across the sweep; the analysis layer turns its
-    worst-case values into per-node quality grades. *)
+    [health] holds one meter per block: each accumulates the sampled
+    per-factorisation health (see {!Engine.Health}) of its block's
+    sweeps, and the analysis layer grades each net from its own block's
+    worst-case values. *)
 
 val response_via_netlist :
   ?gmin:float -> ?dc_options:Engine.Dcop.options -> Circuit.Netlist.t ->

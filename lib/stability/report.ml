@@ -67,7 +67,7 @@ let all_nodes ?rel_gap ppf results =
   if flagged <> [] then begin
     Format.fprintf ppf
       "@.Numerical health (worst sampled factorisation rcond/residual of \
-       the run, plus per-node clamps):@.";
+       the node's block, plus per-node clamps):@.";
     List.iter
       (fun (r : Analysis.node_result) ->
         Format.fprintf ppf "  %-16s %s@." r.node

@@ -1,5 +1,5 @@
-(* Bounded elementary-cycle enumeration: Tarjan SCCs plus Johnson's
-   blocked depth-first search.
+(* Bounded elementary-cycle enumeration: Tarjan SCCs
+   ([Numerics.Scc]) plus Johnson's blocked depth-first search.
 
    Johnson's guarantee — every elementary cycle exactly once, no
    re-exploration of dead subtrees — relies on the blocking discipline:
@@ -15,47 +15,6 @@
 type bounds = { max_len : int; max_cycles : int }
 
 let default_bounds = { max_len = 16; max_cycles = 4096 }
-
-(* Tarjan, recursive: the graphs here are netlist-sized (at most a few
-   thousand nets), well inside the OCaml stack. *)
-let sccs adj =
-  let n = Array.length adj in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next = ref 0 in
-  let comps = ref [] in
-  let rec connect v =
-    index.(v) <- !next;
-    low.(v) <- !next;
-    incr next;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          connect w;
-          if low.(w) < low.(v) then low.(v) <- low.(w)
-        end
-        else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w))
-      adj.(v);
-    if low.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      comps := List.sort compare (pop []) :: !comps
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then connect v
-  done;
-  List.sort compare !comps
 
 let enumerate ?(bounds = default_bounds) adj =
   let n = Array.length adj in
@@ -73,7 +32,7 @@ let enumerate ?(bounds = default_bounds) adj =
       sub.(v) <- List.filter (fun w -> w >= s) adj.(v)
     done;
     let comp =
-      match List.find_opt (List.mem s) (sccs sub) with
+      match List.find_opt (List.mem s) (Numerics.Scc.components sub) with
       | Some c -> c
       | None -> [ s ]
     in

@@ -23,11 +23,6 @@ val default_bounds : bounds
     structure a designer would recognise as a loop, far below a mesh
     blow-up. *)
 
-val sccs : int list array -> int list list
-(** Strongly connected components (Tarjan), singletons included. Each
-    component is sorted ascending; components are ordered by their
-    minimum vertex. *)
-
 val enumerate : ?bounds:bounds -> int list array -> int list list * bool
 (** All elementary cycles of the graph, within [bounds]. Every cycle is
     reported once, rotated to start at its minimum vertex (a self-loop

@@ -135,7 +135,7 @@ let analyze ?(bounds = default_bounds) circ =
         let scc_of = Array.make n (-1) in
         List.iteri
           (fun i comp -> List.iter (fun v -> scc_of.(v) <- i) comp)
-          (Cycles.sccs adj);
+          (Numerics.Scc.components adj);
         (* An SCC is worth enumerating only when a gain edge lives
            inside it: a purely passive mesh has (many) cycles but no
            feedback. *)
@@ -184,7 +184,7 @@ let analyze ?(bounds = default_bounds) circ =
     let scc_of = Array.make n (-1) in
     List.iteri
       (fun i comp -> List.iter (fun v -> scc_of.(v) <- i) comp)
-      (Cycles.sccs adj);
+      (Numerics.Scc.components adj);
     let in_loop = Hashtbl.create 16 in
     List.iter
       (fun (e : Sfg.edge) ->

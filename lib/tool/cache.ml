@@ -12,11 +12,12 @@
    Six families, one per pipeline stage:
    - [deck]   : parsed circuits with their default-config lint findings
                 (filled on first need)
-   - [op]     : prepared probes (MNA compile + DC operating point)
-   - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses ([None]
-                when the options select a dense backend)
-   - [kernel] : compiled {!Engine.Kernel} solve programs ([None] unless
-                the options select the kernel backend)
+   - [op]     : prepared probes (MNA compile + DC operating point +
+                the pencil's blocks)
+   - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses, one per
+                block ([None] when the options select a dense backend)
+   - [kernel] : compiled {!Engine.Kernel} solve programs, one per block
+                ([None] unless the options select the kernel backend)
    - [result] : full analysis outcomes (node results + run manifest)
    - [sfg]    : static signal-flow reports (loops + probe cover)
 
@@ -61,8 +62,8 @@ type t = {
   mutable tick : int;
   decks : deck_entry family;
   ops : Stability.Probe.t family;
-  plans : Engine.Ac_plan.t option family;
-  kernels : Engine.Kernel.t option family;
+  plans : Engine.Ac_plan.t array option family;
+  kernels : Engine.Kernel.t array option family;
   results : result_entry family;
   sfgs : Staticanalysis.Report.t family;
 }

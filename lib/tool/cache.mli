@@ -9,9 +9,10 @@
     invalidation story — and a file and an inline deck that share a
     text, but parse differently, never share an entry. Six families are
     memoized independently: parsed decks with their lint findings,
-    prepared probes (MNA compile + DC operating point), compiled
-    {!Engine.Ac_plan} symbolic analyses, compiled {!Engine.Kernel}
-    solve programs, complete result sets with their run manifests, and
+    prepared probes (MNA compile + DC operating point + the pencil's
+    blocks), compiled {!Engine.Ac_plan} symbolic analyses and compiled
+    {!Engine.Kernel} solve programs (each entry one per block),
+    complete result sets with their run manifests, and
     static signal-flow reports ({!Staticanalysis.Report.t}). A warm
     request therefore runs no parse, no lint pass and no graph build
     ([deck] hit), and a warm [result] hit costs zero DC solves and zero
@@ -74,17 +75,19 @@ val op :
   Stability.Probe.t * bool
 
 val plan :
-  t -> key:string -> (unit -> Engine.Ac_plan.t option) ->
-  Engine.Ac_plan.t option * bool
-(** [None] is a cacheable answer: it records "these options select the
-    dense backend", sparing the decision logic on the next request. *)
+  t -> key:string -> (unit -> Engine.Ac_plan.t array option) ->
+  Engine.Ac_plan.t array option * bool
+(** Plan sets, one plan per block of the prepared probe
+    ({!Stability.Analysis.shared_plan}). [None] is a cacheable answer:
+    it records "these options select the dense backend", sparing the
+    decision logic on the next request. *)
 
 val kernel :
-  t -> key:string -> (unit -> Engine.Kernel.t option) ->
-  Engine.Kernel.t option * bool
-(** Compiled kernel programs, keyed one step below [plan] (same
-    fingerprint plus the kernel tag); [None] records "these options do
-    not select the kernel backend". *)
+  t -> key:string -> (unit -> Engine.Kernel.t array option) ->
+  Engine.Kernel.t array option * bool
+(** Compiled kernel programs, one per block plan, keyed one step below
+    [plan] (same fingerprint plus the kernel tag); [None] records
+    "these options do not select the kernel backend". *)
 
 val result :
   t -> key:string -> (unit -> result_entry) -> result_entry * bool

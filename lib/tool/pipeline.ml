@@ -14,8 +14,9 @@
    (file or inline, and the name) plus the options in force: [load]
    keeps the parsed deck and its lint findings and re-applies the gate
    to them on every request; [analyze] keeps the prepared probe (DC
-   operating point), the compiled plan (symbolic analysis), the kernel
-   and the complete result set with its manifest.
+   operating point and the pencil's blocks), the compiled plans (one
+   symbolic analysis per block), the kernels and the complete result
+   set with its manifest.
    A warm repeat of the same request performs no parse, no lint pass,
    no graph build, zero DC solves and zero symbolic analyses; a request
    that only changes the sweep or the probed nodes still reuses the

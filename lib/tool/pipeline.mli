@@ -16,8 +16,9 @@
     the options in force; results add the name the manifest records. [load] keeps the parsed deck and its lint
     findings ([deck] family) and applies the gate to them on every
     request; [analyze] keeps the prepared probe (MNA + DC operating
-    point), the compiled {!Engine.Ac_plan} (the symbolic analysis), the
-    compiled kernel and the complete result set with its run manifest;
+    point + the pencil's blocks), the compiled {!Engine.Ac_plan} set
+    (one symbolic analysis per block), the compiled kernels and the
+    complete result set with its run manifest;
     the static signal-flow report has a family of its own. A warm
     repeat of an identical request runs no parse, no lint pass, no
     graph build, no DC solve and no symbolic analysis; a request that

@@ -12,34 +12,55 @@ let check_close ?(tol = 1e-9) msg expected actual =
 
 let test_probe_paths_agree () =
   (* Shared-factorisation probing must equal the netlist-level reference
-     (attach an Isource, run plain AC) to solver precision. *)
-  let circ = Workloads.Filters.parallel_rlc () in
-  let sweep = Numerics.Sweep.decade 1e5 1e8 20 in
-  let probe = Stability.Probe.prepare circ in
-  let fast = Stability.Probe.response probe ~sweep "n" in
-  let slow = Stability.Probe.response_via_netlist circ ~sweep "n" in
-  Array.iteri
-    (fun k hf ->
-      Alcotest.(check bool)
-        (Printf.sprintf "agree at point %d" k)
-        true
-        (Numerics.Cx.close ~tol:1e-9 hf
-           slow.Numerics.Waveform.Freq.h.(k)))
-    fast.Numerics.Waveform.Freq.h
+     (attach an Isource, run plain AC on the whole system) to solver
+     precision — also where the probe solves only the net's block of a
+     chain. The chain's x2 nets are graded [Degraded]: there the
+     whole-system dense and plan solves already differ by about 1e-9. *)
+  List.iter
+    (fun (circ, sweep, nets, tol) ->
+      let probe = Stability.Probe.prepare circ in
+      List.iter
+        (fun net ->
+          let fast = Stability.Probe.response probe ~sweep net in
+          let slow = Stability.Probe.response_via_netlist circ ~sweep net in
+          Array.iteri
+            (fun k hf ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s agrees at point %d" net k)
+                true
+                (Numerics.Cx.close ~tol hf slow.Numerics.Waveform.Freq.h.(k)))
+            fast.Numerics.Waveform.Freq.h)
+        nets)
+    [ (Workloads.Filters.parallel_rlc (), Numerics.Sweep.decade 1e5 1e8 20,
+       [ "n" ], 1e-9);
+      (Workloads.Synth.amp_array ~stages:3 (),
+       Numerics.Sweep.decade 1e6 1e8 20, [ "fb_0"; "x2_1"; "fb_2" ], 1e-8) ]
 
+(* A batch comes back in the caller's net order, each net equal to its
+   own single-net probe — also when the nets interleave the blocks of a
+   chain. *)
 let test_probe_many_matches_single () =
-  let circ = Workloads.Opamp_2mhz.buffer () in
-  let sweep = Numerics.Sweep.decade 1e5 1e8 5 in
-  let probe = Stability.Probe.prepare circ in
-  let many = Stability.Probe.response_many probe ~sweep [ "out"; "o1" ] in
-  let single = Stability.Probe.response probe ~sweep "o1" in
-  let from_many = List.assoc "o1" many in
-  Array.iteri
-    (fun k h ->
-      Alcotest.(check bool) "identical" true
-        (Numerics.Cx.close ~tol:1e-12 h
-           from_many.Numerics.Waveform.Freq.h.(k)))
-    single.Numerics.Waveform.Freq.h
+  List.iter
+    (fun (circ, sweep, nodes) ->
+      let probe = Stability.Probe.prepare circ in
+      let many = Stability.Probe.response_many probe ~sweep nodes in
+      Alcotest.(check (list string)) "caller order" nodes (List.map fst many);
+      List.iter
+        (fun (n, from_many) ->
+          let single = Stability.Probe.response probe ~sweep n in
+          Array.iteri
+            (fun k h ->
+              Alcotest.(check bool) (n ^ " identical") true
+                (Numerics.Cx.close ~tol:1e-12 h
+                   from_many.Numerics.Waveform.Freq.h.(k)))
+            single.Numerics.Waveform.Freq.h)
+        many)
+    [ (Workloads.Opamp_2mhz.buffer (), Numerics.Sweep.decade 1e5 1e8 5,
+       [ "out"; "o1" ]);
+      (* Five nets across four blocks. *)
+      (Workloads.Synth.amp_array ~stages:3 (),
+       Numerics.Sweep.decade 1e6 1e8 10,
+       [ "fb_2"; "x2_0"; "fb_0"; "x3_2"; "fb_1" ]) ]
 
 let test_probe_rejects_ground () =
   let circ = Workloads.Filters.parallel_rlc () in
@@ -707,19 +728,23 @@ let test_kernel_seq_par_identical () =
       Parallel.Pool.set_oversubscribe false;
       Parallel.Pool.shutdown ())
     (fun () ->
-      let circ = Workloads.Opamp_2mhz.buffer () in
-      let probe = Stability.Probe.prepare circ in
       let sweep = Numerics.Sweep.decade 1e3 1e9 40 in
-      let nodes = [ "out"; "o1"; "vcasc" ] in
-      let seq =
-        Stability.Probe.response_many ~backend:`Kernel ~parallel:`Seq probe
-          ~sweep nodes
-      in
-      let par =
-        Stability.Probe.response_many ~backend:`Kernel ~parallel:`Par probe
-          ~sweep nodes
-      in
-      check_waves_bit_identical "kernel seq vs par" seq par)
+      List.iter
+        (fun (label, circ, nodes) ->
+          let probe = Stability.Probe.prepare circ in
+          let seq =
+            Stability.Probe.response_many ~backend:`Kernel ~parallel:`Seq
+              probe ~sweep nodes
+          in
+          let par =
+            Stability.Probe.response_many ~backend:`Kernel ~parallel:`Par
+              probe ~sweep nodes
+          in
+          check_waves_bit_identical (label ^ ": kernel seq vs par") seq par)
+        [ ("op-amp", Workloads.Opamp_2mhz.buffer (), [ "out"; "o1"; "vcasc" ]);
+          (* Four blocks probed, nets interleaved across them. *)
+          ("amp_array 3", Workloads.Synth.amp_array ~stages:3 (),
+           [ "fb_2"; "fb_0"; "x2_2"; "in"; "fb_1" ]) ])
 
 (* The compile/point budget: one kernel compilation per sweep, every
    point advanced through the kernel, zero stale-pivot fallbacks on a
@@ -745,11 +770,12 @@ let test_kernel_counter_budget () =
      && after.Engine.Kernel.batch_max > 0);
   (* Warm path: a caller holding a compiled kernel pays zero compiles,
      and the answers are the ones the cold path produced. *)
-  let plan = Stability.Probe.plan probe ~sweep in
-  let kern = Engine.Kernel.compile plan in
+  let kerns =
+    Array.map Engine.Kernel.compile (Stability.Probe.plan probe ~sweep)
+  in
   let base = (Engine.Kernel.totals ()).Engine.Kernel.compiles in
   let shared =
-    Stability.Probe.response_many ~kernel:kern probe ~sweep nodes
+    Stability.Probe.response_many ~kernel:kerns probe ~sweep nodes
   in
   Alcotest.(check int) "shared kernel compiles nothing" base
     (Engine.Kernel.totals ()).Engine.Kernel.compiles;
@@ -785,7 +811,11 @@ let test_kernel_sweep_allocation () =
       sel
   in
   let outs = Array.map (fun _ -> Array.make npts Numerics.Cx.zero) sel in
-  let kern = Engine.Kernel.compile (Stability.Probe.plan probe ~sweep) in
+  let kern =
+    match Stability.Probe.plan probe ~sweep with
+    | [| plan |] -> Engine.Kernel.compile plan
+    | plans -> Alcotest.failf "op-amp in %d blocks" (Array.length plans)
+  in
   let ws = Engine.Kernel.workspace kern ~rhs in
   let sweep_once () =
     Engine.Kernel.run ws ~freqs ~lo:0 ~hi:npts ~sel ~outs
@@ -828,8 +858,8 @@ let test_health_sample_count () =
     (fun (label, backend) ->
       let health = Engine.Health.meter () in
       ignore
-        (Stability.Probe.response_many ~backend ~parallel:`Seq ~health probe
-           ~sweep nodes);
+        (Stability.Probe.response_many ~backend ~parallel:`Seq
+           ~health:[| health |] probe ~sweep nodes);
       let n = Engine.Health.samples health in
       if Float.abs (Float.of_int n -. expected) > 1. then
         Alcotest.failf "%s: %d health samples over %d points, wanted %.2f +- 1"
@@ -878,6 +908,31 @@ let test_quality_suspect_on_starved_deck () =
       Alcotest.(check string) "starved deck grades suspect" "suspect"
         (Stability.Analysis.quality_string res.Stability.Analysis.quality))
 
+(* Health is kept per block: a net of a 6-stage chain is graded by the
+   factorisations of its own stage, so it reads as the same stage does on
+   its own. The whole-system factor of the chain is far worse
+   conditioned (worst rcond 1.9e-13 against 9.8e-11 inside the block)
+   and graded every net [Suspect]. Sampling every point keeps the
+   verdict off the global sample clock's phase. *)
+let test_quality_per_block () =
+  Engine.Health.set_sample_every 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Health.set_sample_every Engine.Health.default_sample_every)
+    (fun () ->
+      let grade stages node =
+        let r =
+          Stability.Analysis.single_node
+            (Workloads.Synth.amp_array ~stages ())
+            node
+        in
+        Stability.Analysis.quality_string r.Stability.Analysis.quality
+      in
+      let chain = grade 6 "fb_5" and stage = grade 1 "fb_0" in
+      Alcotest.(check string) "fb_5 of 6 stages grades as 1 stage" stage
+        chain;
+      Alcotest.(check bool) "not suspect" true (chain <> "suspect"))
+
 (* ---------- chained amp_array stages ---------- *)
 
 (* A seeded variant of a [stages]-stage Synth.amp_array chain: every
@@ -915,25 +970,34 @@ let stage_closed_form circ s =
   (wn /. (2. *. Float.pi),
    (tau1 +. tau2) /. (2. *. sqrt ((1. +. av) *. tau1 *. tau2)))
 
+let rel a b = Float.abs (a -. b) /. Float.abs b
+
 (* Three variants whose last-stage peak natural-order elimination read
    wrongly (0.5%, 5% and 1.6% off in f_n; the 12-stage one with a
-   spurious doublet). Each must match its stage's closed form within
-   the campaign gate's tolerances: 1e-3 on f_n, 2e-2 on zeta (the
-   formula leaves out the 1 MOhm load, about 1% of the damping). *)
+   spurious doublet), on every backend: the dense oracle too solves each
+   net against its own block, where natural order over the whole chain
+   read 15.981 MHz for the 20-stage variant's 15.896 MHz. Each must
+   match its stage's closed form within the campaign gate's tolerances:
+   1e-3 on f_n, 2e-2 on zeta (the formula leaves out the 1 MOhm load,
+   about 1% of the damping). *)
 let test_chained_stages_match_closed_form () =
   List.iter
-    (fun (stages, seed, k) ->
-      let case = Printf.sprintf "%d stages, seed %d, variant %d" stages seed k in
+    (fun ((stages, seed, k), (label, backend)) ->
+      let case =
+        Printf.sprintf "%d stages, seed %d, variant %d, %s" stages seed k
+          label
+      in
       let circ =
         Circuit.Parser.parse_string ~name:"variant"
           (amp_variant ~stages ~seed k)
       in
       let s = stages - 1 in
       let fn, zeta = stage_closed_form circ s in
+      let options = { Stability.Analysis.default_options with backend } in
       let r =
-        Stability.Analysis.single_node circ (Workloads.Synth.amp_stage_out s)
+        Stability.Analysis.single_node ~options circ
+          (Workloads.Synth.amp_stage_out s)
       in
-      let rel a b = Float.abs (a -. b) /. Float.abs b in
       match r.Stability.Analysis.dominant with
       | None -> Alcotest.failf "%s: no dominant peak" case
       | Some d ->
@@ -944,7 +1008,92 @@ let test_chained_stages_match_closed_form () =
          | Some z when rel z zeta <= 2e-2 -> ()
          | Some z -> Alcotest.failf "%s: zeta %.5g, closed form %.5g" case z zeta
          | None -> Alcotest.failf "%s: no zeta" case))
-    [ (20, 4, 119); (12, 2, 97); (8, 1, 172) ]
+    (List.concat_map
+       (fun variant ->
+         List.map
+           (fun backend -> (variant, backend))
+           [ ("dense", `Dense); ("plan", `Plan); ("kernel", `Kernel) ])
+       [ (20, 4, 119); (12, 2, 97); (8, 1, 172) ])
+
+(* The exact poles of a chain, block by block: every stage is a stable
+   pair driven one way through a unity buffer, so the chain is stable
+   and holds one pair per stage at that stage's closed form. The
+   whole-system eigen-solve called the 20- and 40-stage chains
+   unstable. *)
+let test_chain_poles_per_block () =
+  List.iter
+    (fun stages ->
+      let circ = Workloads.Synth.amp_array ~stages () in
+      let poles = Engine.Poles.of_circuit circ in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d stages stable" stages)
+        true
+        (Engine.Poles.is_stable poles);
+      let pairs =
+        List.map
+          (fun (p : Engine.Poles.pole) -> (p.freq_hz, p.zeta))
+          (Engine.Poles.complex_pairs poles)
+      in
+      let expected =
+        List.sort compare (List.init stages (stage_closed_form circ))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%d stages: one pair per stage" stages)
+        stages (List.length pairs);
+      List.iter2
+        (fun (f, z) (fn, zeta) ->
+          if rel f fn > 1e-3 || rel z zeta > 2e-2 then
+            Alcotest.failf
+              "%d stages: pair %.6g Hz / zeta %.5g, closed form %.6g Hz / %.5g"
+              stages f z fn zeta)
+        pairs expected)
+    [ 8; 20; 40 ]
+
+(* ---------- strongly connected blocks ---------- *)
+
+let block_sizes circ =
+  let b = (Stability.Probe.prepare circ).Stability.Probe.blocks in
+  List.init (Engine.Blocks.count b) (Engine.Blocks.size b)
+
+(* The partition the probes run on: circuits whose every unknown reaches
+   every other are one block (and their plan is the whole-system plan,
+   bit for bit); a chain of n stages driven one way through unity
+   buffers is one block per stage plus the input source's. *)
+let test_block_partition () =
+  List.iter
+    (fun (name, circ) ->
+      let probe = Stability.Probe.prepare circ in
+      Alcotest.(check (list int))
+        (name ^ ": one block")
+        [ probe.Stability.Probe.mna.Engine.Mna.size ]
+        (block_sizes circ);
+      let sweep = Numerics.Sweep.decade 1e3 1e9 10 in
+      match Stability.Probe.plan probe ~sweep with
+      | [| plan |] ->
+        let whole =
+          Engine.Ac_plan.compile
+            ~omega_ref:(Engine.Ac_plan.omega_ref (Numerics.Sweep.points sweep))
+            ~op:probe.Stability.Probe.op probe.Stability.Probe.mna
+        in
+        Alcotest.(check bool)
+          (name ^ ": block plan = whole-system plan")
+          true
+          (Engine.Ac_plan.skeleton plan = Engine.Ac_plan.skeleton whole)
+      | plans -> Alcotest.failf "%s: %d plans" name (Array.length plans))
+    [ ("op-amp", Workloads.Opamp_2mhz.buffer ());
+      ("rc_ladder_20", Workloads.Ladder.rc ~sections:20 ());
+      ("bias cell", Workloads.Bias_zero_tc.cell ()) ];
+  List.iter
+    (fun stages ->
+      let sizes = block_sizes (Workloads.Synth.amp_array ~stages ()) in
+      Alcotest.(check int)
+        (Printf.sprintf "amp_array %d: n + 1 blocks" stages)
+        (stages + 1) (List.length sizes);
+      Alcotest.(check bool)
+        (Printf.sprintf "amp_array %d: blocks of at most 7" stages)
+        true
+        (List.for_all (fun n -> n <= 7) sizes))
+    [ 1; 6; 20 ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -992,7 +1141,11 @@ let () =
          Alcotest.test_case "gmin-starved deck grades suspect" `Quick
            test_quality_suspect_on_starved_deck;
          Alcotest.test_case "P/16 samples on every backend" `Quick
-           test_health_sample_count ]);
+           test_health_sample_count;
+         Alcotest.test_case "chain net graded by its block" `Quick
+           test_quality_per_block ]);
+      ("blocks",
+       [ Alcotest.test_case "pencil partition" `Quick test_block_partition ]);
       ("ac-plan",
        [ Alcotest.test_case "backends agree on shipped deck" `Quick
            test_all_nodes_backends_agree;
@@ -1012,7 +1165,9 @@ let () =
        [ Alcotest.test_case "matches exact TF poles" `Quick
            test_cross_validation_with_tf;
          Alcotest.test_case "chained stages match closed form" `Quick
-           test_chained_stages_match_closed_form ]);
+           test_chained_stages_match_closed_form;
+         Alcotest.test_case "chain poles per block" `Quick
+           test_chain_poles_per_block ]);
       ("limitations",
        [ Alcotest.test_case "RHP poles look stable in the plot" `Quick
            test_rhp_poles_look_stable_in_the_plot ]);
