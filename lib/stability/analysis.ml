@@ -95,6 +95,7 @@ let grade health degraded =
 
 type node_result = {
   node : Circuit.Netlist.node;
+  block : int;
   plot : Stability_plot.t;
   peaks : Peaks.peak list;
   dominant : Peaks.peak option;
@@ -299,8 +300,9 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
   List.map
     (fun (node, plot, degraded, peaks) ->
       let peaks = List.mapi (fun slot pk -> refined_of node slot pk) peaks in
-      let meter = Option.map (fun h -> h.(Probe.block_of probe node)) health in
-      { node; plot; peaks; dominant = Peaks.dominant peaks; degraded;
+      let block = Probe.block_of probe node in
+      let meter = Option.map (fun h -> h.(block)) health in
+      { node; block; plot; peaks; dominant = Peaks.dominant peaks; degraded;
         quality = grade meter degraded })
     coarse
 

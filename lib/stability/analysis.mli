@@ -70,6 +70,10 @@ val quality_string : quality -> string
 
 type node_result = {
   node : Circuit.Netlist.node;
+  block : int;
+  (** the node's strongly connected block of the pencil
+      ({!Probe.block_of}): nodes of different blocks share no poles, so
+      they never belong to one loop ({!Loops.cluster}) *)
   plot : Stability_plot.t;       (** coarse plot (kept for plotting) *)
   peaks : Peaks.peak list;       (** refined peaks *)
   dominant : Peaks.peak option;  (** deepest complex-pole peak *)

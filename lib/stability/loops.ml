@@ -5,19 +5,26 @@ type member = {
 
 type loop = {
   natural_freq : float;
+  block : int;
   worst : member;
   members : member list;
 }
 
 let cluster ?(rel_gap = 0.25) (results : Analysis.node_result list) =
+  (* By block, then by frequency within a block; the sort is stable, so
+     equal frequencies keep the caller's order. *)
   let entries =
     List.filter_map
       (fun (r : Analysis.node_result) ->
-        Option.map (fun pk -> { node = r.node; peak = pk }) r.dominant)
+        Option.map (fun pk -> (r.block, { node = r.node; peak = pk }))
+          r.dominant)
       results
-    |> List.sort (fun a b -> compare a.peak.Peaks.freq b.peak.Peaks.freq)
+    |> List.stable_sort (fun (ba, a) (bb, b) ->
+        compare (ba, a.peak.Peaks.freq) (bb, b.peak.Peaks.freq))
   in
-  let close a b = b.peak.Peaks.freq /. a.peak.Peaks.freq <= 1. +. rel_gap in
+  let close (ba, a) (bb, b) =
+    ba = bb && b.peak.Peaks.freq /. a.peak.Peaks.freq <= 1. +. rel_gap
+  in
   let rec group acc current = function
     | [] -> List.rev (match current with [] -> acc | c -> List.rev c :: acc)
     | e :: rest ->
@@ -28,17 +35,20 @@ let cluster ?(rel_gap = 0.25) (results : Analysis.node_result list) =
   in
   let groups = group [] [] entries in
   groups
-  |> List.map (fun members ->
+  |> List.map (fun entries ->
+      let block = fst (List.hd entries) in
       let by_depth =
         List.sort
           (fun a b -> compare a.peak.Peaks.value b.peak.Peaks.value)
-          members
+          (List.map snd entries)
       in
       match by_depth with
       | [] -> assert false
       | worst :: _ ->
-        { natural_freq = worst.peak.Peaks.freq; worst; members = by_depth })
-  |> List.sort (fun a b -> compare a.natural_freq b.natural_freq)
+        { natural_freq = worst.peak.Peaks.freq; block; worst;
+          members = by_depth })
+  |> List.stable_sort (fun a b ->
+      compare (a.natural_freq, a.block) (b.natural_freq, b.block))
 
 let estimated_phase_margin l = l.worst.peak.Peaks.phase_margin_deg
 

@@ -18,7 +18,9 @@
                 block ([None] when the options select a dense backend)
    - [kernel] : compiled {!Engine.Kernel} solve programs, one per block
                 ([None] unless the options select the kernel backend)
-   - [result] : full analysis outcomes (node results + run manifest)
+   - [result] : full analysis outcomes (node results + run manifest),
+                each with its JSON text once the serve daemon first
+                answers from it
    - [sfg]    : static signal-flow reports (loops + probe cover)
 
    Every family feeds always-on {!Obs.Counter}s ([cache.<family>.hits]
@@ -48,6 +50,18 @@ type result_entry = {
   manifest : Manifest.t;
 }
 
+type rendering = { manifest_json : string; nodes_json : string }
+
+(* A result entry and its JSON text. The text cell is an atomic for the
+   same reason as the lint cell below: pool domains answer hits on one
+   entry at once. It lives and dies with the slot, so an evicted and
+   recomputed entry starts with an empty cell and never shows an
+   earlier run's bytes. *)
+type stored_result = {
+  entry : result_entry;
+  rendered : rendering option Atomic.t;
+}
+
 (* The lint cell is an atomic, not a [Lazy.t]: two pool domains may
    need one entry's findings at once, and forcing a lazy another domain
    is forcing raises. Racing computations store equal lists. *)
@@ -64,7 +78,7 @@ type t = {
   ops : Stability.Probe.t family;
   plans : Engine.Ac_plan.t array option family;
   kernels : Engine.Kernel.t array option family;
-  results : result_entry family;
+  results : stored_result family;
   sfgs : Staticanalysis.Report.t family;
 }
 
@@ -154,8 +168,25 @@ let peek_deck c ~key = peek c c.decks key
 let op c ~key compute = memo c c.ops ~key compute
 let plan c ~key compute = memo c c.plans ~key compute
 let kernel c ~key compute = memo c c.kernels ~key compute
-let result c ~key compute = memo c c.results ~key compute
+let result c ~key compute =
+  memo c c.results ~key (fun () ->
+      { entry = compute (); rendered = Atomic.make None })
 let sfg c ~key compute = memo c c.sfgs ~key compute
+
+let renders = Obs.Counter.make "manifest.renders"
+
+(* Racing domains both render and store equal strings; the counter
+   then reads 2 for that entry, which is the only cost. *)
+let rendering stored =
+  match Atomic.get stored.rendered with
+  | Some r -> r
+  | None ->
+    Obs.Counter.incr renders;
+    let doc = Manifest.json stored.entry.manifest in
+    let nodes = Option.value ~default:(Json.Arr []) (Json.member "nodes" doc) in
+    let r = { manifest_json = Json.to_string doc; nodes_json = Json.to_string nodes } in
+    Atomic.set stored.rendered (Some r);
+    r
 
 let clear c =
   locked c (fun () ->

@@ -19,7 +19,9 @@
     symbolic analyses — the serve smoke test asserts exactly that from
     the [sfg.builds] / [dcop.solves] / [acplan.symbolic] counters — and
     a warm [kernel] hit costs zero kernel compiles ([kernel.compiles]
-    stays flat).
+    stays flat). A [result] entry also keeps its JSON text
+    ({!rendering}), made once on first need, so a warm serve hit
+    encodes nothing either ([manifest.renders] stays flat).
 
     Hit/miss/eviction telemetry flows through always-on
     {!Obs.Counter}s: [cache.deck.hits], [cache.deck.misses],
@@ -89,8 +91,30 @@ val kernel :
     [plan] (same fingerprint plus the kernel tag); [None] records
     "these options do not select the kernel backend". *)
 
+type rendering = {
+  manifest_json : string;  (** [Json.to_string (Manifest.json manifest)] *)
+  nodes_json : string;     (** the [nodes] array of that manifest, rendered *)
+}
+
+type stored_result = {
+  entry : result_entry;
+  rendered : rendering option Atomic.t;
+      (** the entry's JSON text, [None] until {!rendering} first runs;
+          it lives in the entry's slot, so eviction drops it with the
+          entry *)
+}
+
 val result :
-  t -> key:string -> (unit -> result_entry) -> result_entry * bool
+  t -> key:string -> (unit -> result_entry) -> stored_result * bool
+
+val rendering : stored_result -> rendering
+(** The entry's JSON text: rendered on the first call, from any domain,
+    and stored beside the entry, so later calls return the same strings
+    without encoding anything. Each rendering counts once in the
+    [manifest.renders] counter (two domains racing on a fresh entry may
+    both render, and store equal text). The serve daemon splices it into
+    analyze answers ([Json.Rendered]); the CLI never asks, so it
+    renders nothing. *)
 
 val sfg :
   t -> key:string -> (unit -> Staticanalysis.Report.t) ->

@@ -2,7 +2,12 @@
    manifests ([acstab diff] must read back what [--manifest] wrote, so
    unlike the emit-only lint reports this needs the round trip). No
    dependency; numbers are floats (manifests never carry integers large
-   enough to care). *)
+   enough to care).
+
+   [Rendered] holds text this printer already produced. It prints
+   verbatim, which lets the serve daemon render a cached manifest once
+   and splice the same bytes into every answer; the parser never
+   builds one, so every value [of_string] returns is plain data. *)
 
 type t =
   | Null
@@ -11,6 +16,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Rendered of string
 
 exception Parse_error of string
 
@@ -45,6 +51,9 @@ let rec write buf = function
         write buf v)
       fields;
     Buffer.add_char buf '}'
+  | Rendered text -> Buffer.add_string buf text
+
+let to_buffer = write
 
 let to_string v =
   let buf = Buffer.create 1024 in

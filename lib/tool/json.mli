@@ -3,7 +3,10 @@
     Run manifests must round-trip — [acstab diff] reads back what
     [--manifest] wrote — so unlike the emit-only JSON in the lint
     library this one parses too. Numbers are doubles; non-finite floats
-    print as [null]. *)
+    print as [null]. One constructor, [Rendered], carries text the
+    printer produced earlier, so the serve daemon can keep a cached
+    manifest's rendering and splice it into each answer instead of
+    encoding the manifest again. *)
 
 type t =
   | Null
@@ -12,9 +15,21 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Rendered of string
+      (** Text that {!to_string} already produced for some value,
+          printed verbatim: a value rendered once can be spliced into
+          many documents, and [Obj [("m", Rendered (to_string v))]]
+          prints the same bytes as [Obj [("m", v)]]. The printer does
+          not check the text, so anything else spliced in makes the
+          output invalid. {!of_string} never produces it, and the
+          accessors below treat it as opaque ([member] finds nothing
+          inside it). *)
 
 val to_string : t -> string
 (** Compact (single-line) serialisation. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_string] appended to a buffer. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte-offset

@@ -20,7 +20,9 @@
    A warm repeat of the same request performs no parse, no lint pass,
    no graph build, zero DC solves and zero symbolic analyses; a request
    that only changes the sweep or the probed nodes still reuses the
-   operating point and the plan. *)
+   operating point and the plan. The outcome hands the daemon the
+   result entry itself, so its answer text is rendered once per entry
+   ({!Cache.rendering}) rather than once per answer. *)
 
 type deck =
   | Deck_file of string
@@ -280,6 +282,7 @@ type outcome = {
   wall_s : float;
   cpu_s : float;
   cache : [ `Hit | `Miss ];
+  stored : Cache.stored_result;
 }
 
 let sweep_fingerprint = function
@@ -420,11 +423,12 @@ let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
     key_of loaded ^ "|name:" ^ loaded.deck_name ^ "|"
     ^ analysis_fingerprint analysis ^ "|" ^ options_fingerprint options
   in
-  let entry, hit =
+  let stored, hit =
     Cache.result c ~key:result_key (fun () ->
         Obs.Span.with_ "pipeline.analyze" (fun () ->
             analyze_uncached ~cache:c ~options loaded analysis))
   in
+  let entry = stored.Cache.entry in
   (* One structured event per analysis (CLI one-shots with --log get a
      record too, not just the daemon); guarded so runs without a sink
      pay one atomic load, not a field-list allocation. *)
@@ -439,7 +443,7 @@ let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
     manifest = entry.Cache.manifest;
     wall_s = entry.Cache.manifest.Manifest.wall_s;
     cpu_s = entry.Cache.manifest.Manifest.cpu_s;
-    cache = (if hit then `Hit else `Miss) }
+    cache = (if hit then `Hit else `Miss); stored }
 
 let analyze ?cache ?options loaded analysis =
   guard loaded (fun () -> analyze_exn ?cache ?options loaded analysis)

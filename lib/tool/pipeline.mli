@@ -23,7 +23,10 @@
     repeat of an identical request runs no parse, no lint pass, no
     graph build, no DC solve and no symbolic analysis; a request that
     changes only the sweep or the probed nodes still reuses the
-    operating point and the plan. *)
+    operating point and the plan. Each {!outcome} carries the result
+    entry it came from ([stored]), whose JSON text {!Cache.rendering}
+    renders once per entry: the serve daemon answers with it, and the
+    CLI never asks for it. *)
 
 type deck =
   | Deck_file of string                 (** parse a netlist file *)
@@ -132,6 +135,10 @@ type outcome = {
                         reports the original, cold timing) *)
   cpu_s : float;
   cache : [ `Hit | `Miss ];
+  stored : Cache.stored_result;
+      (** the [result] cache entry [results] and [manifest] come from;
+          {!Cache.rendering} of it is the manifest's JSON text, rendered
+          once per entry — what the serve daemon answers with *)
 }
 
 val analyze :

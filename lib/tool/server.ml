@@ -8,7 +8,10 @@
    tweak the deck, analyze again — pays for parsing, linting, DC solve
    and symbolic analysis only when the deck (or a file it includes) or
    the options actually changed; an unchanged request is answered from
-   the cache without touching the parser, the linter or the engine.
+   the cache without touching the parser, the linter or the engine, and
+   without re-encoding its manifest: the answer splices the JSON text
+   the result entry keeps ({!Cache.rendering}), and each answer line is
+   written from one buffer.
 
    Concurrency: the accept/read side is a single [select] loop (no
    thread juggling, deterministic shutdown), and each batch of complete
@@ -177,7 +180,9 @@ let handle_analyze cache ?id v =
        (match Pipeline.run ~cache req with
         | Error failure -> failure_response ?id ~file failure
         | Ok o ->
-          let mjson = Manifest.json o.Pipeline.manifest in
+          (* The entry's stored text: a hit encodes nothing, a miss
+             renders its new entry once. *)
+          let text = Cache.rendering o.Pipeline.stored in
           respond_fields ?id
             [ ("ok", Json.Bool true);
               ("cache",
@@ -185,10 +190,8 @@ let handle_analyze cache ?id v =
                          | `Hit -> "hit" | `Miss -> "miss"));
               ("deck_sha256", Json.Str o.Pipeline.loaded.Pipeline.sha256);
               ("wall_s", Json.Num o.Pipeline.wall_s);
-              ("nodes",
-               Option.value ~default:(Json.Arr [])
-                 (Json.member "nodes" mjson));
-              ("manifest", mjson) ])))
+              ("nodes", Json.Rendered text.Cache.nodes_json);
+              ("manifest", Json.Rendered text.Cache.manifest_json) ])))
 
 let handle_lint cache ?id v =
   match deck_of_request v with
@@ -506,15 +509,21 @@ type conn = {
 }
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
+
+(* [v] as one newline-terminated string, rendered in [buf]. *)
+let line_of buf v =
+  Buffer.clear buf;
+  Json.to_buffer buf v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 (* Append the [n] bytes just read to [pending] and return the lines they
    complete. Only the new bytes are scanned for a newline, so a line
@@ -591,6 +600,9 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
   let read_chunk = Bytes.create 65536 in
+  (* Every answer line is rendered here; it grows to the longest answer
+     so far and keeps that capacity. *)
+  let out = Buffer.create 4096 in
   let finally () =
     List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       !conns;
@@ -667,7 +679,7 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
          let stop = ref false in
          List.iter
            (fun (c, response, verdict) ->
-             (try write_all c.fd (Json.to_string response ^ "\n")
+             (try write_all c.fd (line_of out response)
               with Unix.Unix_error _ -> close_conn c);
              match verdict with
              | `Go -> ()
@@ -702,15 +714,17 @@ module Client = struct
     Unix.connect fd (Unix.ADDR_UNIX path);
     { fd; ic = Unix.in_channel_of_descr fd }
 
-  let send t req = write_all t.fd (Json.to_string req ^ "\n")
+  let send t req = write_all t.fd (line_of (Buffer.create 256) req)
+
+  let recv_line t =
+    match input_line t.ic with
+    | line -> line
+    | exception End_of_file -> failwith "server closed the connection"
 
   let recv t =
-    match input_line t.ic with
-    | line ->
-      (match Json.of_string line with
-       | Ok v -> v
-       | Error e -> failwith (Printf.sprintf "bad response JSON: %s" e))
-    | exception End_of_file -> failwith "server closed the connection"
+    match Json.of_string (recv_line t) with
+    | Ok v -> v
+    | Error e -> failwith (Printf.sprintf "bad response JSON: %s" e)
 
   let request t req = send t req; recv t
 

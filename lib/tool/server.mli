@@ -16,6 +16,11 @@
     carrying the client's [id] when one can be salvaged from the
     broken text.
 
+    An analyze answer splices the result entry's stored JSON text
+    ({!Cache.rendering}, through [Json.Rendered]): a cache hit encodes
+    no manifest, and its line equals the cold miss's line but for the
+    request id and the verdict.
+
     Every response additionally carries a daemon-unique [request_id],
     which also keys the per-request line in the structured event log
     ({!Obs.Events}, schema [acstab-log/1]) and the [server.request]
@@ -65,9 +70,13 @@ module Client : sig
   (** Write one request line without waiting — several [send]s on
       distinct connections put several requests in flight at once. *)
 
+  val recv_line : t -> string
+  (** Read one response line (blocking), without its newline, as the
+      daemon wrote it. Raises [Failure] on EOF. *)
+
   val recv : t -> Json.t
-  (** Read one response line (blocking). Raises [Failure] on EOF or
-      malformed JSON. *)
+  (** [recv_line], parsed. Raises [Failure] on EOF or malformed
+      JSON. *)
 
   val request : t -> Json.t -> Json.t
   (** [send] then [recv]. *)

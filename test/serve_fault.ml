@@ -20,6 +20,12 @@
      bound);
    - a client that hangs up before its answer leaves the daemon serving
      (the answer's write once raised SIGPIPE and ended the process);
+   - with a one-entry cache (what `acstab serve --cache-capacity 1`
+     starts), deck A, deck B (evicting A) and A again are three misses,
+     and each answer's embedded manifest carries that request's
+     fingerprint and the answer's own top-level wall_s: a daemon that
+     spliced a rendering kept from an earlier computation of A would
+     answer the third request with the first run's timing;
    - `acstab all-nodes` and `acstab lint` exit 2 on the self-including
      deck, with no uncaught-exception report. *)
 
@@ -77,19 +83,20 @@ let () =
   let server =
     Thread.create (fun () -> Tool.Server.serve ~socket:sock ()) ()
   in
-  let rec wait_for_socket n =
+  let rec wait_for_socket sock n =
     if n = 0 then fail "daemon socket never appeared"
     else if not (Sys.file_exists sock) then begin
       Unix.sleepf 0.05;
-      wait_for_socket (n - 1)
+      wait_for_socket sock (n - 1)
     end
   in
-  wait_for_socket 200;
-  let c = Tool.Server.Client.connect sock in
-  let request fields =
+  wait_for_socket sock 200;
+  let ask c fields =
     try Tool.Server.Client.request c (Tool.Json.Obj fields)
     with Failure m -> fail "daemon gone: %s" m
   in
+  let c = Tool.Server.Client.connect sock in
+  let request = ask c in
   let ping () =
     match Tool.Json.mem_bool "pong" (request [ ("cmd", str "ping") ]) with
     | Some true -> ()
@@ -214,6 +221,53 @@ let () =
   Tool.Server.Client.close c;
   Thread.join server;
 
+  (* A, B, A through a one-entry cache: every answer is a miss, and its
+     manifest is its own run's. *)
+  let small = path "small.sock" in
+  let server =
+    Thread.create
+      (fun () -> Tool.Server.serve ~capacity:1 ~socket:small ())
+      ()
+  in
+  wait_for_socket small 200;
+  let c = Tool.Server.Client.connect small in
+  let deck l =
+    Printf.sprintf "tank %s\nR1 n 0 100\nL1 n 0 %s\nC1 n 0 1n\n.end\n" l l
+  in
+  List.iter
+    (fun (what, text) ->
+      let r =
+        ask c
+          [ ("cmd", str "analyze"); ("mode", str "single-node");
+            ("node", str "n"); ("deck_text", str text);
+            ("name", str "tank.sp") ]
+      in
+      let manifest = Tool.Json.member "manifest" r in
+      let sha = Tool.Sha256.digest text in
+      let answer =
+        ( Tool.Json.mem_str "cache" r,
+          Tool.Json.mem_str "deck_sha256" r,
+          Tool.Json.mem_float "wall_s" r )
+      and embedded =
+        ( Option.bind manifest (fun m ->
+              Option.bind (Tool.Json.member "deck" m)
+                (Tool.Json.mem_str "sha256")),
+          Option.bind manifest (fun m ->
+              Option.bind (Tool.Json.member "timing" m)
+                (Tool.Json.mem_float "wall_s")) )
+      in
+      match (answer, embedded) with
+      | (Some "miss", Some sha', Some wall), (Some msha, Some mwall)
+        when sha' = sha && msha = sha && mwall = wall -> ()
+      | _ ->
+        fail "%s through a one-entry cache: answer and manifest disagree: %s"
+          what (Tool.Json.to_string r))
+    [ ("deck A", deck "1u"); ("deck B", deck "4u");
+      ("deck A again", deck "1u") ];
+  ignore (ask c [ ("cmd", str "shutdown") ]);
+  Tool.Server.Client.close c;
+  Thread.join server;
+
   (* The CLI on the self-including deck. *)
   List.iter
     (fun cmd ->
@@ -241,5 +295,6 @@ let () =
      analyze/lint/loops with the daemon still serving, included-file edit \
      re-analyzed as a miss with the new f_n, one text answered per origin \
      as a file and inline in both orders, over-long line answered code 2 \
-     and closed, a hung-up client left the daemon serving, CLI exits 2 \
-     on the self-including deck)"
+     and closed, a hung-up client left the daemon serving, A/B/A through \
+     a one-entry cache answered three misses each with its own manifest, \
+     CLI exits 2 on the self-including deck)"

@@ -1,10 +1,12 @@
 (* @serve-smoke — end-to-end exercise of the `acstab serve` daemon.
 
    Starts the daemon on a private socket, then over the wire: a cold
-   all-nodes request, a warm repeat that must be answered from the
-   cache with byte-identical results, one deck-family hit and zero
-   extra graph builds / DC solves / symbolic analyses (asserted from
-   the Obs counters via the protocol's own `counters` command), the
+   all-nodes request whose manifest is rendered once, a warm repeat
+   that must be answered from the cache with a byte-identical answer
+   line (request id and cache verdict aside, both lines canonical
+   JSON), one deck-family hit and zero extra graph builds / DC solves /
+   symbolic analyses / manifest renderings (asserted from the Obs
+   counters via the protocol's own `counters` command), the
    lint gate re-applied to memoized findings, four concurrent
    in-flight requests on four connections, and a clean shutdown that
    removes the socket file. *)
@@ -77,28 +79,44 @@ let () =
    | p ->
      fail "protocol mismatch: %s" (Option.value ~default:"<absent>" p));
 
-  (* Cold request: a miss that does real work. *)
+  (* The answer line exactly as the daemon wrote it, and its parse. *)
+  let request_line req =
+    Tool.Server.Client.send c req;
+    let line = Tool.Server.Client.recv_line c in
+    match Tool.Json.of_string line with
+    | Ok j -> (line, j)
+    | Error e -> fail "bad answer JSON (%s): %s" e line
+  in
+
+  (* Cold request: a miss that does real work and renders its manifest
+     once. *)
   let all_nodes =
     Tool.Json.Obj (("mode", Tool.Json.Str "all-nodes") :: analyze_fields)
   in
-  let cold = Tool.Server.Client.request c all_nodes in
+  let renders0 = counter c "manifest.renders" in
+  let cold_line, cold = request_line all_nodes in
   expect_ok cold;
   expect_cache "miss" cold;
+  let renders1 = counter c "manifest.renders" in
+  if renders1 <> renders0 + 1 then
+    fail "cold request rendered its manifest %d times, wanted 1"
+      (renders1 - renders0);
 
-  (* Warm repeat: a hit, byte-identical, zero re-solves, and the deck
+  (* Warm repeat: a hit, zero re-solves, no rendering, and the deck
      itself served from the deck family — no parse, no lint pass, no
      graph build. *)
   let dc0 = counter c "dcop.solves"
   and sym0 = counter c "acplan.symbolic"
   and sfg0 = counter c "sfg.builds"
   and deck0 = counter c "cache.deck.hits" in
-  let warm = Tool.Server.Client.request c all_nodes in
+  let warm_line, warm = request_line all_nodes in
   expect_ok warm;
   expect_cache "hit" warm;
   let dc1 = counter c "dcop.solves"
   and sym1 = counter c "acplan.symbolic"
   and sfg1 = counter c "sfg.builds"
-  and deck1 = counter c "cache.deck.hits" in
+  and deck1 = counter c "cache.deck.hits"
+  and renders2 = counter c "manifest.renders" in
   if dc1 <> dc0 then fail "warm request re-solved DC (%d -> %d)" dc0 dc1;
   if sym1 <> sym0 then
     fail "warm request re-ran symbolic analysis (%d -> %d)" sym0 sym1;
@@ -106,12 +124,29 @@ let () =
     fail "warm request rebuilt the signal-flow graph (%d -> %d)" sfg0 sfg1;
   if deck1 <> deck0 + 1 then
     fail "warm request made %d deck-family hits, wanted 1" (deck1 - deck0);
+  if renders2 <> renders1 then
+    fail "warm request re-rendered its manifest (%d -> %d)" renders1 renders2;
+  (* The answer bytes: each line is canonical JSON (what [to_string]
+     prints for its own parse), and the warm line is the cold line but
+     for the request id and the verdict. *)
   List.iter
-    (fun field ->
-      let bytes j = Tool.Json.to_string (mem field j) in
-      if bytes cold <> bytes warm then
-        fail "warm %s differs from cold" field)
-    [ "nodes"; "manifest"; "deck_sha256" ];
+    (fun (what, line, j) ->
+      if Tool.Json.to_string j <> line then
+        fail "%s answer line is not canonical JSON: %s" what line)
+    [ ("cold", cold_line, cold); ("warm", warm_line, warm) ];
+  let blanked = function
+    | Tool.Json.Obj fields ->
+      Tool.Json.to_string
+        (Tool.Json.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "request_id" || k = "cache" then (k, Tool.Json.Null)
+                else (k, v))
+              fields))
+    | j -> fail "answer is not an object: %s" (Tool.Json.to_string j)
+  in
+  if blanked cold <> blanked warm then
+    fail "warm answer line differs from cold:\n%s\n%s" cold_line warm_line;
 
   (* Four concurrent in-flight requests on four connections: all sent
      before any response is read, so the daemon holds (at least) four
@@ -402,8 +437,9 @@ let () =
   if Sys.file_exists stale then fail "stale socket path survived shutdown";
 
   print_endline
-    "serve-smoke: OK (cold miss, warm hit byte-identical with 1 deck \
-     hit, 0 graph builds, 0 DC re-solves and 0 symbolic re-analyses, \
+    "serve-smoke: OK (cold miss rendered once, warm hit's answer line \
+     byte-identical and canonical with 1 deck hit, 0 graph builds, 0 DC \
+     re-solves, 0 symbolic re-analyses and 0 renderings, \
      lint gate on memoized findings, 4 concurrent in-flight \
      requests, loops cold/warm with 0 graph rebuilds, nodes=auto cover \
      run, kernel backend cold/warm with 0 recompiles and plan-identical \

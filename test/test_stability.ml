@@ -288,6 +288,42 @@ let test_all_nodes_rlc_cluster () =
        l2.Stability.Loops.natural_freq
    | _ -> Alcotest.fail "unexpected loop structure")
 
+(* Twenty identical stages ring at one frequency, but each is its own
+   strongly connected block: all-nodes reads one loop per stage holding
+   exactly that stage's nets, and every net of the static probe cover
+   lies in the loop of its own block. *)
+let test_chain_loop_per_block () =
+  let stages = 20 in
+  let circ = Workloads.Synth.amp_array ~stages () in
+  let loops = Stability.Loops.cluster (Stability.Analysis.all_nodes circ) in
+  let nets (l : Stability.Loops.loop) =
+    List.sort compare
+      (List.map (fun (m : Stability.Loops.member) -> m.node) l.members)
+  in
+  let stage_nets s =
+    List.sort compare (List.map (fun x -> Printf.sprintf "%s_%d" x s)
+                         [ "x3"; "fb"; "x2" ])
+  in
+  Alcotest.(check (list (list string))) "one loop per stage, its own nets"
+    (List.sort compare (List.init stages stage_nets))
+    (List.sort compare (List.map nets loops));
+  let probe = Stability.Probe.prepare circ in
+  let cover = (Staticanalysis.Report.analyze circ).Staticanalysis.Report.cover in
+  Alcotest.(check bool) "the cover names a net per stage" true
+    (List.length cover >= stages);
+  List.iter
+    (fun net ->
+      let block = Stability.Probe.block_of probe net in
+      match
+        List.find_opt (fun (l : Stability.Loops.loop) -> l.block = block) loops
+      with
+      | Some l ->
+        Alcotest.(check bool)
+          (Printf.sprintf "cover net %s in its block's loop" net)
+          true (List.mem net (nets l))
+      | None -> Alcotest.failf "no loop for cover net %s's block %d" net block)
+    cover
+
 let test_report_format () =
   let circ = Workloads.Filters.parallel_rlc () in
   let results = Stability.Analysis.all_nodes circ in
@@ -1126,6 +1162,8 @@ let () =
       ("all-nodes",
        [ Alcotest.test_case "loop clustering" `Quick
            test_all_nodes_rlc_cluster;
+         Alcotest.test_case "one loop per block" `Quick
+           test_chain_loop_per_block;
          Alcotest.test_case "report format" `Quick test_report_format;
          Alcotest.test_case "annotation" `Quick test_annotation ]);
       ("degraded",

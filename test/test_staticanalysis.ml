@@ -64,6 +64,128 @@ let prop_johnson_vs_brute =
       let cycles, truncated = Staticanalysis.Cycles.enumerate ~bounds adj in
       (not truncated) && cycles = brute_cycles adj)
 
+(* Oracle for the bounded enumeration: the implementation [Cycles]
+   had before its searches were confined to their own components. For
+   every start s it rebuilds the subgraph on vertices >= s and runs
+   Tarjan over all of it, so it costs O(V (V + E)) time and O(V^2)
+   words, but it fixes what the bounds mean: which cycles are reported
+   and when the flag is set. *)
+let reference_enumerate (bounds : Staticanalysis.Cycles.bounds) adj =
+  let n = Array.length adj in
+  let adj = Array.map (fun l -> List.sort_uniq compare l) adj in
+  let cycles = ref [] in
+  let count = ref 0 in
+  let truncated = ref false in
+  for s = 0 to n - 1 do
+    let sub = Array.make n [] in
+    for v = s to n - 1 do
+      sub.(v) <- List.filter (fun w -> w >= s) adj.(v)
+    done;
+    let comp =
+      match List.find_opt (List.mem s) (Numerics.Scc.components sub) with
+      | Some c -> c
+      | None -> [ s ]
+    in
+    let in_comp = Array.make n false in
+    List.iter (fun v -> in_comp.(v) <- true) comp;
+    if List.exists (fun w -> in_comp.(w)) sub.(s) then begin
+      if !count >= bounds.max_cycles then truncated := true
+      else begin
+        let blocked = Array.make n false in
+        let bsets = Array.make n [] in
+        let path = ref [] in
+        let rec unblock v =
+          if blocked.(v) then begin
+            blocked.(v) <- false;
+            let bs = bsets.(v) in
+            bsets.(v) <- [];
+            List.iter unblock bs
+          end
+        in
+        let rec circuit v depth =
+          let found = ref false in
+          path := v :: !path;
+          blocked.(v) <- true;
+          List.iter
+            (fun w ->
+              if in_comp.(w) then begin
+                if !count >= bounds.max_cycles then begin
+                  truncated := true;
+                  found := true
+                end
+                else if w = s then begin
+                  cycles := List.rev !path :: !cycles;
+                  incr count;
+                  found := true
+                end
+                else if not blocked.(w) then begin
+                  if depth >= bounds.max_len then begin
+                    truncated := true;
+                    found := true
+                  end
+                  else if circuit w (depth + 1) then found := true
+                end
+              end)
+            sub.(v);
+          if !found then unblock v
+          else
+            List.iter
+              (fun w ->
+                if in_comp.(w) && not (List.mem v bsets.(w)) then
+                  bsets.(w) <- v :: bsets.(w))
+              sub.(v);
+          path := List.tl !path;
+          !found
+        in
+        ignore (circuit s 1)
+      end
+    end
+  done;
+  (List.sort compare !cycles, !truncated)
+
+(* Same cycles and same flag as the oracle, bounds included: the bounds
+   are drawn small enough that many graphs truncate. *)
+let prop_cycles_vs_reference =
+  QCheck.Test.make
+    ~name:"bounded enumeration agrees with the whole-graph reference (n <= 14)"
+    ~count:2000
+    QCheck.(
+      quad (int_range 1 14) (int_range 0 1_000_000) (int_range 1 10)
+        (int_range 1 60))
+    (fun (n, seed, max_len, max_cycles) ->
+      let adj = random_graph n seed in
+      let bounds = { Staticanalysis.Cycles.max_len; max_cycles } in
+      Staticanalysis.Cycles.enumerate ~bounds adj
+      = reference_enumerate bounds adj)
+
+(* A chain of [k] five-vertex loops, each feeding the next. *)
+let loop_chain k =
+  Array.init (5 * k) (fun v ->
+      let next = if v mod 5 = 4 then v - 4 else v + 1 in
+      if v mod 5 = 2 && v + 5 < 5 * k then [ next; v + 5 ] else [ next ])
+
+(* Words allocated, not seconds: each search stays in its own loop, so
+   doubling the chain about doubles the allocation. Searching every
+   start across the rest of the graph grows it 4x. The allocation
+   counters are read after a minor collection, which brings the
+   domain's major-heap count up to date. *)
+let test_cycles_chain_alloc () =
+  let allocated () = Gc.minor (); Gc.allocated_bytes () in
+  let words k =
+    let adj = loop_chain k in
+    let a0 = allocated () in
+    let cycles, truncated = Staticanalysis.Cycles.enumerate adj in
+    let a1 = allocated () in
+    Alcotest.(check int) (Printf.sprintf "%d loops found" k) k
+      (List.length cycles);
+    Alcotest.(check bool) "not truncated" false truncated;
+    (a1 -. a0) /. float_of_int (Sys.word_size / 8)
+  in
+  let w200 = words 200 and w400 = words 400 in
+  if w400 >= 3. *. w200 then
+    Alcotest.failf "allocation grew %.0f -> %.0f words (%.1fx) from 200 to \
+                    400 loops, wanted under 3x" w200 w400 (w400 /. w200)
+
 let test_cycles_bounds () =
   (* A complete digraph on 6 vertices has 409 elementary cycles; a
      max_cycles bound below that must truncate yet still report
@@ -463,7 +585,10 @@ let () =
   Alcotest.run "staticanalysis"
     [ ( "cycles",
         Alcotest.test_case "enumeration bounds" `Quick test_cycles_bounds
-        :: List.map QCheck_alcotest.to_alcotest [ prop_johnson_vs_brute ] );
+        :: Alcotest.test_case "chain allocation linear" `Quick
+             test_cycles_chain_alloc
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_johnson_vs_brute; prop_cycles_vs_reference ] );
       ( "cover",
         [ Alcotest.test_case "ladder" `Quick test_cover_ladder;
           Alcotest.test_case "mesh" `Quick test_cover_mesh;

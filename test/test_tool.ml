@@ -396,15 +396,33 @@ let test_json_roundtrip () =
         ("t", Bool true); ("z", Null);
         ("a", Arr [ Num 1.; Num (-2.5e-3); Str "x" ]) ]
   in
-  match of_string (to_string doc) with
-  | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
-  | Ok back ->
-    Alcotest.(check bool) "roundtrip equal" true (back = doc);
-    (match member "a" back with
-     | Some (Arr l) -> Alcotest.(check int) "array length" 3 (List.length l)
-     | _ -> Alcotest.fail "member lookup");
-    check_close "float accessor" 1.5
-      (Option.get (Option.bind (member "n" back) to_float))
+  (* The second input holds two members pre-rendered, the way the serve
+     daemon splices a cached manifest: it must print the same bytes and
+     parse back to the plain value. *)
+  let spliced =
+    match doc with
+    | Obj fields ->
+      Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "s" || k = "a" then (k, Rendered (to_string v)) else (k, v))
+           fields)
+    | _ -> assert false
+  in
+  Alcotest.(check string) "spliced prints the same bytes" (to_string doc)
+    (to_string spliced);
+  List.iter
+    (fun input ->
+      match of_string (to_string input) with
+      | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
+      | Ok back ->
+        Alcotest.(check bool) "roundtrip equal" true (back = doc);
+        (match member "a" back with
+         | Some (Arr l) -> Alcotest.(check int) "array length" 3 (List.length l)
+         | _ -> Alcotest.fail "member lookup");
+        check_close "float accessor" 1.5
+          (Option.get (Option.bind (member "n" back) to_float)))
+    [ doc; spliced ]
 
 let test_json_errors () =
   let bad s =
