@@ -41,6 +41,22 @@ let include_target line =
     Some (try Scanf.sscanf path "%S" (fun s -> s) with _ -> path)
   else None
 
+(* Whether any line of [text] could be an [.include] card: a '.'
+   followed by "include" in any case, anywhere. Text without one is
+   returned as it is, uncopied. *)
+let may_include text =
+  let word = "include" in
+  let n = String.length text and m = String.length word in
+  let rec spells i k =
+    k = m || (Char.lowercase_ascii text.[i + k] = word.[k] && spells i (k + 1))
+  in
+  let rec from i =
+    match String.index_from_opt text i '.' with
+    | None -> false
+    | Some j -> (j + 1 + m <= n && spells (j + 1) 0) || from (j + 1)
+  in
+  from 0
+
 let expand_includes ?(base_dir = Filename.current_dir_name) text =
   let rec expand ~base_dir ~depth ~top text =
     String.split_on_char '\n' text
@@ -64,7 +80,7 @@ let expand_includes ?(base_dir = Filename.current_dir_name) text =
             ~top:(Some top) body)
     |> String.concat "\n"
   in
-  expand ~base_dir ~depth:0 ~top:None text
+  if may_include text then expand ~base_dir ~depth:0 ~top:None text else text
 
 let logical_lines ?(first_num = 1) text =
   let raw = String.split_on_char '\n' text in

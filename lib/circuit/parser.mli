@@ -57,7 +57,9 @@ val expand_includes : ?base_dir:string -> string -> string
 (** Splice every [.include "file"] line's file into [text], recursively
     (paths relative to [base_dir], default the current directory, and
     then to the including file). Lines are split and rejoined on ['\n']
-    only, so text without [.include] comes back byte-identical. A
+    only, so text without [.include] comes back byte-identical; text in
+    which no line can be an [.include] card (no ['.'] followed by
+    "include", in any case) comes back as the argument itself. A
     missing file or nesting deeper than 8 (a file that includes itself)
     raises {!Parse_error} at the top-level line of the [.include] that
     started the chain. {!parse_string} expands first; calling this

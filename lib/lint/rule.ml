@@ -22,6 +22,7 @@ let finding ?(nets = []) ?(devices = []) ?line ~id severity message =
 type ctx = {
   circ : Circuit.Netlist.t;
   mna : Engine.Mna.t option;
+  topology : Circuit.Topology.issue list Lazy.t;
   static : Staticanalysis.Report.t Lazy.t;
 }
 
@@ -35,13 +36,15 @@ let make_ctx ?static circ =
     | exception _ -> None
   in
   (* Lazy: forced the first time a graph-powered rule runs, shared by
-     all of them within one lint pass. *)
+     all of them within one lint pass. The structural check likewise,
+     by the four rules that filter it; if it raises, each of them raises
+     the same exception again and reports its own crash. *)
   let static =
     match static with
     | Some s -> s
     | None -> lazy (Staticanalysis.Report.analyze circ)
   in
-  { circ; mna; static }
+  { circ; mna; topology = lazy (Circuit.Topology.check circ); static }
 
 type t = {
   id : string;

@@ -28,12 +28,14 @@ val finding :
 
 (** Everything a rule may inspect. [mna] is [None] when elaboration
     failed (e.g. a missing model card); rules needing the compiled system
-    then simply skip. [static] is the signal-flow report — lazy, so a
-    pass with no graph-powered rule never builds the graph, and one pass
-    builds it at most once. *)
+    then simply skip. [topology] is {!Circuit.Topology.check} of the
+    circuit and [static] the signal-flow report — both lazy, so a pass
+    computes each at most once, and a pass with no rule that reads one
+    never computes it. *)
 type ctx = {
   circ : Circuit.Netlist.t;
   mna : Engine.Mna.t option;
+  topology : Circuit.Topology.issue list Lazy.t;
   static : Staticanalysis.Report.t Lazy.t;
 }
 

@@ -14,13 +14,14 @@ let mk ctx ?nets ?devices ?lead ~id severity fmt =
       finding ?nets ?devices ?line ~id severity message)
     fmt
 
-(* ---- ports of the Topology.check rules, one lint rule per issue ---- *)
+(* ---- ports of the Topology.check rules, one lint rule per issue ----
+   All four filter the one check the context runs per pass. *)
 
 let topo_rule ~id ~title ~severity select =
   { id; title; severity;
     check =
       (fun ctx ->
-        Topology.check ctx.circ
+        Lazy.force ctx.topology
         |> List.filter_map (fun issue -> select ctx issue)) }
 
 let no_ground =

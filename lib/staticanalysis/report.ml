@@ -85,39 +85,60 @@ let loop_of_cycle circ g cycle =
   in
   { id = String.concat ">" nets; nets; devices; gain_order; kind; probeable }
 
+(* Uncovered-loop tallies, most first and then by name: the minimum
+   is the next net to pick. *)
+module Tallies = Set.Make (struct
+  type t = int * string
+
+  let compare (c, n) (c', n') =
+    match Int.compare c' c with 0 -> String.compare n n' | d -> d
+end)
+
 (* Greedy hitting set over the probeable member nets: pick the net
    covering the most still-uncovered loops, smallest name on ties, until
-   every coverable loop is observed. *)
+   every coverable loop is observed. Each net's tally (one per
+   occurrence in an uncovered loop) is counted once and decremented as
+   the loops holding it are covered, so the cost is near-linear in the
+   loops' total size. *)
 let greedy_cover loops =
-  let coverable = List.filter (fun l -> l.probeable <> []) loops in
-  let rec go chosen remaining =
-    match remaining with
-    | [] -> List.rev chosen
-    | _ ->
-      let tally = Hashtbl.create 32 in
-      List.iter
-        (fun l ->
-          List.iter
-            (fun n ->
-              Hashtbl.replace tally n
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tally n)))
-            l.probeable)
-        remaining;
-      let best =
-        Hashtbl.fold
-          (fun n c acc ->
-            match acc with
-            | Some (bn, bc) when bc > c || (bc = c && bn <= n) -> acc
-            | _ -> Some (n, c))
-          tally None
-      in
-      (match best with
-       | None -> List.rev chosen
-       | Some (n, _) ->
-         go (n :: chosen)
-           (List.filter (fun l -> not (List.mem n l.probeable)) remaining))
+  let coverable =
+    Array.of_list (List.filter (fun l -> l.probeable <> []) loops)
   in
-  go [] coverable
+  let tally = Hashtbl.create 64 and holders = Hashtbl.create 64 in
+  Array.iteri
+    (fun i l ->
+      List.iter
+        (fun n ->
+          Hashtbl.replace tally n
+            (1 + Option.value ~default:0 (Hashtbl.find_opt tally n));
+          Hashtbl.replace holders n
+            (i :: Option.value ~default:[] (Hashtbl.find_opt holders n)))
+        l.probeable)
+    coverable;
+  let queue =
+    ref (Hashtbl.fold (fun n c q -> Tallies.add (c, n) q) tally Tallies.empty)
+  in
+  let decrement n =
+    let c = Hashtbl.find tally n in
+    Hashtbl.replace tally n (c - 1);
+    queue := Tallies.remove (c, n) !queue;
+    if c > 1 then queue := Tallies.add (c - 1, n) !queue
+  in
+  let covered = Array.make (Array.length coverable) false in
+  let rec go chosen =
+    match Tallies.min_elt_opt !queue with
+    | None -> List.rev chosen
+    | Some (_, n) ->
+      List.iter
+        (fun i ->
+          if not covered.(i) then begin
+            covered.(i) <- true;
+            List.iter decrement coverable.(i).probeable
+          end)
+        (Hashtbl.find holders n);
+      go (n :: chosen)
+  in
+  go []
 
 let covers t loop =
   List.find_opt (fun n -> List.mem n loop.probeable) t.cover

@@ -62,5 +62,11 @@ val analyze : ?bounds:Cycles.bounds -> Circuit.Netlist.t -> t
 (** Build the graph and run all three passes. Never raises on a
     parseable netlist. *)
 
+val greedy_cover : loop list -> string list
+(** The probe cover of these loops, in selection order: repeatedly the
+    probeable net in the most still-uncovered loops (smallest name on
+    ties) until every loop with a probeable net is covered. Near-linear
+    in the loops' total size. *)
+
 val covers : t -> loop -> string option
 (** The cover net observing this loop, if any. *)

@@ -1,17 +1,20 @@
-(* Fingerprint-keyed memoization of the expensive pipeline stages.
+(* Content-keyed memoization of the expensive pipeline stages.
 
    The paper's tool is a resident environment: a designer's session
    re-runs the same analysis many times with small edits, so the parsed
    deck, the operating point, the compiled solve plan and whole result
    sets are worth keeping between requests. Keys are strings built by
-   [Pipeline] from the deck's SHA-256 fingerprint (of its text with
-   every [.include] expanded), its origin and the options in force — an
-   edited deck or a changed option is a different key, which is all the
-   invalidation a content-addressed cache needs.
+   [Pipeline]. The [deck] family's key is the deck's origin plus its
+   exact text with every [.include] expanded; the entry keeps that
+   text's SHA-256 fingerprint, computed once on the miss. Every other
+   family's key starts from that fingerprint and the origin, followed
+   by the options in force. An edited deck or a changed option is a
+   different key, which is all the invalidation a content-addressed
+   cache needs.
 
    Six families, one per pipeline stage:
-   - [deck]   : parsed circuits with their default-config lint findings
-                (filled on first need)
+   - [deck]   : parsed circuits with their text's fingerprint and their
+                default-config lint findings (filled on first need)
    - [op]     : prepared probes (MNA compile + DC operating point +
                 the pencil's blocks)
    - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses, one per
@@ -67,6 +70,7 @@ type stored_result = {
    is forcing raises. Racing computations store equal lists. *)
 type deck_entry = {
   circ : Circuit.Netlist.t;
+  sha256 : string;
   lint : Lint.Rule.finding list option Atomic.t;
 }
 
@@ -146,10 +150,6 @@ let find c fam key =
       Obs.Counter.incr (if Option.is_some v then fam.hits else fam.misses);
       v)
 
-(* A lookup that neither counts nor computes, for a caller confirming
-   that an entry it expects is still resident. *)
-let peek c fam key = locked c (fun () -> lookup c fam key)
-
 let insert c fam key value =
   locked c (fun () ->
       Hashtbl.replace fam.table key { value; last_used = stamp c };
@@ -164,7 +164,6 @@ let memo c fam ~key compute =
     (v, false)
 
 let deck c ~key compute = memo c c.decks ~key compute
-let peek_deck c ~key = peek c c.decks key
 let op c ~key compute = memo c c.ops ~key compute
 let plan c ~key compute = memo c c.plans ~key compute
 let kernel c ~key compute = memo c c.kernels ~key compute

@@ -1,27 +1,31 @@
-(** Fingerprint-keyed caching of the analysis pipeline's expensive
+(** Content-keyed caching of the analysis pipeline's expensive
     stages.
 
-    Keys are opaque strings built by {!Pipeline} from the deck's
-    SHA-256 fingerprint (of its text with every [.include] expanded),
-    its origin (file or inline text, and the name) and the options in
-    force, so an edited deck, an edited included file or a changed
-    option is simply a different key — content addressing is the whole
-    invalidation story — and a file and an inline deck that share a
-    text, but parse differently, never share an entry. Six families are
-    memoized independently: parsed decks with their lint findings,
-    prepared probes (MNA compile + DC operating point + the pencil's
-    blocks), compiled {!Engine.Ac_plan} symbolic analyses and compiled
-    {!Engine.Kernel} solve programs (each entry one per block),
-    complete result sets with their run manifests, and
-    static signal-flow reports ({!Staticanalysis.Report.t}). A warm
-    request therefore runs no parse, no lint pass and no graph build
-    ([deck] hit), and a warm [result] hit costs zero DC solves and zero
-    symbolic analyses — the serve smoke test asserts exactly that from
-    the [sfg.builds] / [dcop.solves] / [acplan.symbolic] counters — and
-    a warm [kernel] hit costs zero kernel compiles ([kernel.compiles]
-    stays flat). A [result] entry also keeps its JSON text
-    ({!rendering}), made once on first need, so a warm serve hit
-    encodes nothing either ([manifest.renders] stays flat).
+    Keys are opaque strings built by {!Pipeline}. A [deck] key is the
+    deck's origin (file or inline text, and the name) plus its exact
+    text with every [.include] expanded; the entry keeps that text's
+    SHA-256 fingerprint, computed once when the entry is made. Every
+    other family's key starts from that fingerprint and the origin and
+    adds the options in force. So an edited deck, an edited included
+    file or a changed option is simply a different key — content
+    addressing is the whole invalidation story — and a file and an
+    inline deck that share a text, but parse differently, never share
+    an entry. Six families are memoized independently: parsed decks
+    with their fingerprints and lint findings, prepared probes (MNA
+    compile + DC operating point + the pencil's blocks), compiled
+    {!Engine.Ac_plan} symbolic analyses and compiled {!Engine.Kernel}
+    solve programs (each entry one per block), complete result sets
+    with their run manifests, and static signal-flow reports
+    ({!Staticanalysis.Report.t}). A warm request therefore runs no
+    SHA-256, no parse, no lint pass and no graph build ([deck] hit;
+    [deck.digests] stays flat), and a warm [result] hit costs zero DC
+    solves and zero symbolic analyses — the serve smoke test asserts
+    exactly that from the [sfg.builds] / [dcop.solves] /
+    [acplan.symbolic] counters — and a warm [kernel] hit costs zero
+    kernel compiles ([kernel.compiles] stays flat). A [result] entry
+    also keeps its JSON text ({!rendering}), made once on first need,
+    so a warm serve hit encodes nothing either ([manifest.renders]
+    stays flat).
 
     Hit/miss/eviction telemetry flows through always-on
     {!Obs.Counter}s: [cache.deck.hits], [cache.deck.misses],
@@ -43,6 +47,9 @@ type result_entry = {
 
 type deck_entry = {
   circ : Circuit.Netlist.t;  (** the parsed deck *)
+  sha256 : string;
+      (** SHA-256 of the expanded text, the prefix of the deck's keys in
+          every other family *)
   lint : Lint.Rule.finding list option Atomic.t;
       (** its lint findings under {!Lint.Runner.default}, [None] until
           first needed (a [no_lint] request never pays for them) *)
@@ -64,13 +71,9 @@ val global : unit -> t
     ([true] = served from cache, compute not called). *)
 
 val deck : t -> key:string -> (unit -> deck_entry) -> deck_entry * bool
-(** Parsed decks, keyed by the expanded text's fingerprint plus the two
-    parse inputs outside the text (file or inline, and the name that
-    becomes the title). A hit costs no parse, lint or graph build. *)
-
-val peek_deck : t -> key:string -> deck_entry option
-(** The resident [deck] entry under [key], if any, without counting a
-    hit or a miss — for finding the entry a loaded deck came from. *)
+(** Parsed decks, keyed by the exact expanded text plus the two parse
+    inputs outside the text (file or inline, and the name that becomes
+    the title). A hit costs no digest, parse, lint or graph build. *)
 
 val op :
   t -> key:string -> (unit -> Stability.Probe.t) ->

@@ -9,20 +9,23 @@
    ([failure] carries the exit-code contract) instead of [exit] calls
    buried in command bodies.
 
-   Both halves memoize through {!Cache}, keyed by the deck's SHA-256
-   fingerprint (of the text with every .include expanded), its origin
-   (file or inline, and the name) plus the options in force: [load]
-   keeps the parsed deck and its lint findings and re-applies the gate
-   to them on every request; [analyze] keeps the prepared probe (DC
-   operating point and the pencil's blocks), the compiled plans (one
-   symbolic analysis per block), the kernels and the complete result
-   set with its manifest.
-   A warm repeat of the same request performs no parse, no lint pass,
-   no graph build, zero DC solves and zero symbolic analyses; a request
-   that only changes the sweep or the probed nodes still reuses the
-   operating point and the plan. The outcome hands the daemon the
-   result entry itself, so its answer text is rendered once per entry
-   ({!Cache.rendering}) rather than once per answer. *)
+   Both halves memoize through {!Cache}. [load] keys the parsed deck by
+   its origin (file or inline, and the name) and its exact text with
+   every .include expanded, and keeps the text's SHA-256 fingerprint
+   beside the parsed deck and its lint findings, so the digest is
+   computed once per entry; it re-applies the gate to the findings on
+   every request. Every other family is keyed by that fingerprint, the
+   origin and the options in force: [analyze] keeps the prepared probe
+   (DC operating point and the pencil's blocks), the compiled plans
+   (one symbolic analysis per block), the kernels and the complete
+   result set with its manifest.
+   A warm repeat of the same request performs no digest, no parse, no
+   lint pass, no graph build, zero DC solves and zero symbolic analyses
+   ([deck.digests] counts the digests); a request that only changes the
+   sweep or the probed nodes still reuses the operating point and the
+   plan. The outcome hands the daemon the result entry itself, so its
+   answer text is rendered once per entry ({!Cache.rendering}) rather
+   than once per answer. *)
 
 type deck =
   | Deck_file of string
@@ -106,22 +109,37 @@ let entry_findings c ~key (e : Cache.deck_entry) =
     Atomic.set e.lint (Some findings);
     findings
 
-(* The [deck] family's key: the fingerprint plus the two parse inputs
-   that are not in the text — file or inline (a file's first line is
-   always its title), and the name that becomes the title when the
-   text has none. An in-memory design has an origin of its own: it was
-   never parsed, so it shares nothing with a deck of the same text. *)
+(* Every family but [deck] keys a deck by its fingerprint plus the two
+   parse inputs that are not in the text — file or inline (a file's
+   first line is always its title), and the name that becomes the title
+   when the text has none. An in-memory design has an origin of its
+   own: it was never parsed, so it shares nothing with a deck of the
+   same text. *)
 let deck_key ~sha256 origin = sha256 ^ "|deck|" ^ origin
 let file_origin path = "file:" ^ Filename.basename path
 let text_origin name = "text:" ^ name
 let circuit_origin name = "circuit:" ^ name
 
-(* The deck key each loaded circuit came from, found by the circuit's
-   identity: [loaded] itself carries only the digest and the name, and
-   a file and an inline deck with the same text and name parse
-   differently. A circuit [load] did not produce (a [loaded] assembled
-   by hand) keys as the inline deck of its name. Weak in the circuit,
-   so the table holds nothing the caches have let go of. *)
+(* The [deck] family's key: the origin and the exact text, the origin's
+   length first so that no other origin and text spell the same key.
+   Finer than the digest, and found without computing it. One copy of
+   the text. *)
+let text_key origin text =
+  String.concat "" [ string_of_int (String.length origin); ":"; origin; text ]
+
+let digests = Obs.Counter.make "deck.digests"
+
+let fingerprint text =
+  Obs.Counter.incr digests;
+  Sha256.digest text
+
+(* The family key and deck entry each loaded circuit came from, found by
+   the circuit's identity: [loaded] itself carries only the digest and
+   the name, and a file and an inline deck with the same text and name
+   parse differently. A circuit [load] did not produce (a [loaded]
+   assembled by hand) keys as the inline deck of its name and has no
+   entry. Weak in the circuit, so the table holds nothing the caches
+   have let go of. *)
 module Origins = Ephemeron.K1.Make (struct
   type t = Circuit.Netlist.t
 
@@ -132,26 +150,28 @@ end)
 let origins = Origins.create 64
 let origins_lock = Mutex.create ()
 
-let remember circ key =
-  Mutex.protect origins_lock (fun () -> Origins.replace origins circ key)
+let remember key (entry : Cache.deck_entry) =
+  Mutex.protect origins_lock (fun () ->
+      Origins.replace origins entry.circ (key, entry))
+
+let origin_of loaded =
+  Mutex.protect origins_lock (fun () -> Origins.find_opt origins loaded.circ)
 
 let key_of loaded =
-  match
-    Mutex.protect origins_lock (fun () -> Origins.find_opt origins loaded.circ)
-  with
-  | Some key -> key
+  match origin_of loaded with
+  | Some (key, _) -> key
   | None -> deck_key ~sha256:loaded.sha256 (text_origin loaded.deck_name)
 
 let parsed c ~origin text parse =
-  let sha256 = Sha256.digest text in
-  let key = deck_key ~sha256 origin in
   let entry, _ =
-    Cache.deck c ~key (fun () ->
+    Cache.deck c ~key:(text_key origin text) (fun () ->
         let circ = Obs.Span.with_ "parse" parse in
-        remember circ key;
-        { Cache.circ; lint = Atomic.make None })
+        let sha256 = fingerprint text in
+        let entry = { Cache.circ; sha256; lint = Atomic.make None } in
+        remember (deck_key ~sha256 origin) entry;
+        entry)
   in
-  (text, sha256, key, entry)
+  (text, deck_key ~sha256:entry.sha256 origin, entry)
 
 let load ?cache ?(policy = default_lint_policy) deck =
   let c = cache_or_global cache in
@@ -178,33 +198,36 @@ let load ?cache ?(policy = default_lint_policy) deck =
        (* Fingerprint the in-memory design through its canonical SPICE
           rendering (temperature included), so an OCEAN session's
           repeated runs hit the same cache rows. There is nothing to
-          parse, so no [deck] entry: the caller's circuit is the one
-          analyzed. *)
+          parse, so nothing goes in the [deck] family: the caller's
+          circuit is the one analyzed, and the entry made for it here
+          (its digest and lint findings) lives as long as it does. *)
        let text = Circuit.Netlist.to_spice circ in
-       let sha256 = Sha256.digest text in
+       let sha256 = fingerprint text in
        let key = deck_key ~sha256 (circuit_origin name) in
-       remember circ key;
-       (text, sha256, key, { Cache.circ; lint = Atomic.make None }))
+       let entry = { Cache.circ; sha256; lint = Atomic.make None } in
+       remember key entry;
+       (text, key, entry))
   with
   | exception Circuit.Parser.Parse_error { line; message } ->
     Error
       (Parse_failed
          { message = Printf.sprintf "%s:%d: %s" deck_name line message })
   | exception Sys_error m -> Error (Parse_failed { message = m })
-  | deck_text, sha256, key, entry ->
+  | deck_text, key, entry ->
     let findings =
       if policy.no_lint then [] else entry_findings c ~key entry
     in
     if List.exists (blocking policy) findings then
       Error (Lint_blocked { findings })
-    else Ok { deck_name; deck_text; sha256; circ = entry.circ; findings }
+    else
+      Ok { deck_name; deck_text; sha256 = entry.sha256; circ = entry.circ;
+           findings }
 
 let lint_findings ?cache loaded =
   let c = cache_or_global cache in
-  let key = key_of loaded in
-  match Cache.peek_deck c ~key with
-  | Some e -> entry_findings c ~key e
-  | None -> run_lint c ~key loaded.circ
+  match origin_of loaded with
+  | Some (key, entry) -> entry_findings c ~key entry
+  | None -> run_lint c ~key:(key_of loaded) loaded.circ
 
 (* ---- guard: engine exceptions -> failure values ---- *)
 

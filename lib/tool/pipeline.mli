@@ -3,30 +3,33 @@
     One code path from deck to results, shared by the CLI subcommands,
     the [acstab serve] daemon and OCEAN sessions:
 
-    {v deck -> load (fingerprint -> parse + lint -> gate) -> analyze
+    {v deck -> load (parse + fingerprint + lint -> gate) -> analyze
        (DC op -> plan -> sweep -> peaks) -> results + manifest v}
 
     Failures are data ({!failure}, with {!exit_code} carrying the CLI's
     exit-code contract) rather than [exit] calls, so a resident server
     can answer a broken request and keep serving.
 
-    Every stage memoizes through {!Cache}, keyed by the deck's SHA-256
-    fingerprint (of its text with every [.include] expanded), its
-    origin (file, inline text or in-memory design, with its name) and
-    the options in force; results add the name the manifest records. [load] keeps the parsed deck and its lint
-    findings ([deck] family) and applies the gate to them on every
-    request; [analyze] keeps the prepared probe (MNA + DC operating
-    point + the pencil's blocks), the compiled {!Engine.Ac_plan} set
-    (one symbolic analysis per block), the compiled kernels and the
-    complete result set with its run manifest;
+    Every stage memoizes through {!Cache}. [load] keys the [deck]
+    family by the deck's origin (file or inline text, with its name)
+    and its exact text with every [.include] expanded; the entry keeps
+    the parsed deck, the text's SHA-256 fingerprint (computed once, on
+    the miss; [deck.digests] counts them) and the lint findings, and
+    [load] applies the gate to the findings on every request. Every
+    other family is keyed by the fingerprint, the origin (an in-memory
+    design has one of its own) and the options in force; results add
+    the name the manifest records. [analyze] keeps the prepared probe
+    (MNA + DC operating point + the pencil's blocks), the compiled
+    {!Engine.Ac_plan} set (one symbolic analysis per block), the
+    compiled kernels and the complete result set with its run manifest;
     the static signal-flow report has a family of its own. A warm
-    repeat of an identical request runs no parse, no lint pass, no
-    graph build, no DC solve and no symbolic analysis; a request that
-    changes only the sweep or the probed nodes still reuses the
-    operating point and the plan. Each {!outcome} carries the result
-    entry it came from ([stored]), whose JSON text {!Cache.rendering}
-    renders once per entry: the serve daemon answers with it, and the
-    CLI never asks for it. *)
+    repeat of an identical request runs no digest, no parse, no lint
+    pass, no graph build, no DC solve and no symbolic analysis; a
+    request that changes only the sweep or the probed nodes still
+    reuses the operating point and the plan. Each {!outcome} carries
+    the result entry it came from ([stored]), whose JSON text
+    {!Cache.rendering} renders once per entry: the serve daemon answers
+    with it, and the CLI never asks for it. *)
 
 type deck =
   | Deck_file of string                 (** parse a netlist file *)
@@ -45,9 +48,10 @@ type loaded = {
   deck_name : string;
   deck_text : string;           (** with every [.include] expanded *)
   sha256 : string;
-      (** fingerprint of [deck_text] — every cache key's prefix, followed
-          by the origin [load] read the deck from; a record built
-          outside [load] keys as the inline deck [deck_name] *)
+      (** fingerprint of [deck_text] — the prefix of every cache key
+          but the [deck] family's, followed by the origin [load] read
+          the deck from; a record built outside [load] keys as the
+          inline deck [deck_name] *)
   circ : Circuit.Netlist.t;
   findings : Lint.Rule.finding list;
       (** what the gate ran (and the CLI prints); [[]] under [no_lint] *)
@@ -69,22 +73,25 @@ val failure_message : failure -> string
 
 val load :
   ?cache:Cache.t -> ?policy:lint_policy -> deck -> (loaded, failure) result
-(** Read, fingerprint, parse and lint-gate a deck. A file is read once;
+(** Read, parse, fingerprint and lint-gate a deck. A file is read once;
     its text and an inline deck's have their [.include]s expanded
-    before the fingerprint is taken, so an edited included file is a
-    new fingerprint. Parse and lint run only on a [deck]-family miss in
-    [cache] (default {!Cache.global}); lint runs only when first needed,
-    so a [no_lint] load pays for none. [Error Lint_blocked] when a
-    finding blocks under [policy] (errors always; warnings under
-    [strict]), decided afresh on every call. *)
+    before the lookup, so an edited included file is a new key and a
+    new fingerprint. Parse and fingerprint run only on a [deck]-family
+    miss in [cache] (default {!Cache.global}), and a hit reads the
+    stored fingerprint; lint runs only when first needed, so a
+    [no_lint] load pays for none. An in-memory design ([Deck_circuit])
+    is fingerprinted on every call. [Error Lint_blocked] when a finding
+    blocks under [policy] (errors always; warnings under [strict]),
+    decided afresh on every call. *)
 
 val lint_findings : ?cache:Cache.t -> loaded -> Lint.Rule.finding list
 (** The deck's lint findings under {!Lint.Runner.default}, whatever the
     gate [load] applied — what manifests record and the serve [lint]
-    command answers. Read from the [deck] entry [load] filled (one
-    lookup under the deck's own key, computed there once on first
-    need); a deck without one, an OCEAN design say, is linted afresh. Either way the graph-powered rules read the
-    {!static_report}, so linting adds no graph build. *)
+    command answers. Read from the entry [load] made for the deck's
+    circuit, found by the circuit's identity and computed there once on
+    first need; a [loaded] built outside [load] is linted afresh.
+    Either way the graph-powered rules read the {!static_report}, so
+    linting adds no graph build. *)
 
 val guard : loaded -> (unit -> 'a) -> ('a, failure) result
 (** Run an engine computation, translating its exceptions

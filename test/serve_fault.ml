@@ -7,8 +7,12 @@
      (the unbounded nesting once escaped as an uncaught Failure and
      ended the daemon);
    - editing a file that a deck includes is a cache miss whose answer
-     carries the new natural frequency (the fingerprint once covered
-     only the top-level text, so the stale answer came back as a hit);
+     carries the new natural frequency and the new text's [deck_sha256]
+     (the fingerprint once covered only the top-level text, so the stale
+     answer came back as a hit);
+   - an inline deck that differs from a cached one only in its last
+     byte is a miss with its own [deck_sha256] (the deck cache is keyed
+     by the exact text);
    - one text sent as a file and inline, in either order, is answered
      per origin: a file's first line is its title, so "L1 n 0 1u" there
      leaves an RC pole at 1.592 MHz, while inline it is a card and the
@@ -120,13 +124,22 @@ let () =
       ping ())
     [ "analyze"; "lint"; "loops" ];
 
-  (* The included-file edit. *)
+  (* The included-file edit. Each answer's deck_sha256 must be the
+     digest of the deck's text as it stands, includes expanded. *)
   let analyze () =
     let r =
       request
         [ ("cmd", str "analyze"); ("mode", str "single-node");
           ("node", str "n"); ("deck", str (path "main.sp")) ]
     in
+    let sha =
+      Tool.Sha256.digest
+        (Circuit.Parser.expand_includes ~base_dir:dir
+           (Circuit.Parser.read_file (path "main.sp")))
+    in
+    if Tool.Json.mem_str "deck_sha256" r <> Some sha then
+      fail "answer's deck_sha256 is not the digest of the deck as it \
+            stands: %s" (Tool.Json.to_string r);
     match Option.bind (Tool.Json.member "nodes" r) Tool.Json.to_list with
     | Some [ node ] ->
       (match
@@ -134,23 +147,47 @@ let () =
            Tool.Json.mem_float "f_n" node,
            Tool.Json.mem_float "zeta" node )
        with
-       | Some verdict, Some fn, Some zeta -> (verdict, fn, zeta)
+       | Some verdict, Some fn, Some zeta -> ((verdict, fn, zeta), sha)
        | _ -> fail "no dominant peak at n: %s" (Tool.Json.to_string r))
     | _ -> fail "analyze failed: %s" (Tool.Json.to_string r)
   in
-  let expect what (verdict, fn, zeta) (verdict', fn', zeta') =
+  let expect what ((verdict, fn, zeta), sha) (verdict', fn', zeta') =
     let close a b = Float.abs (a -. b) <= 1e-2 *. Float.abs b in
     if verdict <> verdict' || not (close fn fn') || not (close zeta zeta')
     then
       fail "%s: got cache=%s f_n=%.4g zeta=%.4g, wanted cache=%s f_n=%.4g \
             zeta=%.4g"
-        what verdict fn zeta verdict' fn' zeta'
+        what verdict fn zeta verdict' fn' zeta';
+    sha
   in
-  expect "cold split tank" (analyze ()) ("miss", 5.033e6, 0.158);
-  expect "warm split tank" (analyze ()) ("hit", 5.033e6, 0.158);
+  let cold = expect "cold split tank" (analyze ()) ("miss", 5.033e6, 0.158) in
+  ignore (expect "warm split tank" (analyze ()) ("hit", 5.033e6, 0.158));
   write "tank_parts.sp" (tank_parts "4u");
-  expect "after editing the included part" (analyze ())
-    ("miss", 2.516e6, 0.316);
+  let edited =
+    expect "after editing the included part" (analyze ())
+      ("miss", 2.516e6, 0.316)
+  in
+  if edited = cold then fail "the included edit kept the old deck_sha256";
+
+  (* An inline deck and its last-byte edit: ".end\n" ends in a space
+     instead, the same circuit but another text. *)
+  let tail = "tank tail\nR1 n 0 100\nL1 n 0 1u\nC1 n 0 1n\n.end\n" in
+  let tail' = String.sub tail 0 (String.length tail - 1) ^ " " in
+  List.iter
+    (fun (what, text, verdict) ->
+      let r =
+        request
+          [ ("cmd", str "analyze"); ("mode", str "single-node");
+            ("node", str "n"); ("deck_text", str text);
+            ("name", str "tail.sp") ]
+      in
+      match (Tool.Json.mem_str "cache" r, Tool.Json.mem_str "deck_sha256" r) with
+      | Some v, Some sha when v = verdict && sha = Tool.Sha256.digest text -> ()
+      | _ ->
+        fail "%s: wanted a %s carrying its own deck_sha256: %s" what verdict
+          (Tool.Json.to_string r))
+    [ ("inline deck", tail, "miss"); ("inline deck again", tail, "hit");
+      ("inline deck, last byte edited", tail', "miss") ];
 
   (* One text, file and inline, in both orders. *)
   let origin_text = "L1 n 0 1u\nC1 n 0 1n\nR1 n 0 100\n.end\n" in
@@ -293,7 +330,9 @@ let () =
   print_endline
     "serve-fault: OK (self-including deck answered code 2 by \
      analyze/lint/loops with the daemon still serving, included-file edit \
-     re-analyzed as a miss with the new f_n, one text answered per origin \
+     re-analyzed as a miss with the new f_n and deck_sha256, an inline \
+     last-byte edit answered as a miss with its own deck_sha256, one text \
+     answered per origin \
      as a file and inline in both orders, over-long line answered code 2 \
      and closed, a hung-up client left the daemon serving, A/B/A through \
      a one-entry cache answered three misses each with its own manifest, \

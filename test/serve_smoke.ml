@@ -4,8 +4,9 @@
    all-nodes request whose manifest is rendered once, a warm repeat
    that must be answered from the cache with a byte-identical answer
    line (request id and cache verdict aside, both lines canonical
-   JSON), one deck-family hit and zero extra graph builds / DC solves /
-   symbolic analyses / manifest renderings (asserted from the Obs
+   JSON), one deck-family hit and zero extra deck digests / graph
+   builds / DC solves / symbolic analyses / manifest renderings (the
+   cold request computes one digest; asserted from the Obs
    counters via the protocol's own `counters` command), the
    lint gate re-applied to memoized findings, four concurrent
    in-flight requests on four connections, and a clean shutdown that
@@ -93,18 +94,23 @@ let () =
   let all_nodes =
     Tool.Json.Obj (("mode", Tool.Json.Str "all-nodes") :: analyze_fields)
   in
-  let renders0 = counter c "manifest.renders" in
+  let renders0 = counter c "manifest.renders"
+  and digests0 = counter c "deck.digests" in
   let cold_line, cold = request_line all_nodes in
   expect_ok cold;
   expect_cache "miss" cold;
-  let renders1 = counter c "manifest.renders" in
+  let renders1 = counter c "manifest.renders"
+  and digests1 = counter c "deck.digests" in
   if renders1 <> renders0 + 1 then
     fail "cold request rendered its manifest %d times, wanted 1"
       (renders1 - renders0);
+  if digests1 <> digests0 + 1 then
+    fail "cold request computed %d deck digests, wanted 1"
+      (digests1 - digests0);
 
   (* Warm repeat: a hit, zero re-solves, no rendering, and the deck
-     itself served from the deck family — no parse, no lint pass, no
-     graph build. *)
+     itself served from the deck family — no digest, no parse, no lint
+     pass, no graph build. *)
   let dc0 = counter c "dcop.solves"
   and sym0 = counter c "acplan.symbolic"
   and sfg0 = counter c "sfg.builds"
@@ -116,7 +122,11 @@ let () =
   and sym1 = counter c "acplan.symbolic"
   and sfg1 = counter c "sfg.builds"
   and deck1 = counter c "cache.deck.hits"
-  and renders2 = counter c "manifest.renders" in
+  and renders2 = counter c "manifest.renders"
+  and digests2 = counter c "deck.digests" in
+  if digests2 <> digests1 then
+    fail "warm request computed %d deck digests, wanted 0"
+      (digests2 - digests1);
   if dc1 <> dc0 then fail "warm request re-solved DC (%d -> %d)" dc0 dc1;
   if sym1 <> sym0 then
     fail "warm request re-ran symbolic analysis (%d -> %d)" sym0 sym1;
@@ -437,8 +447,9 @@ let () =
   if Sys.file_exists stale then fail "stale socket path survived shutdown";
 
   print_endline
-    "serve-smoke: OK (cold miss rendered once, warm hit's answer line \
-     byte-identical and canonical with 1 deck hit, 0 graph builds, 0 DC \
+    "serve-smoke: OK (cold miss rendered once with 1 deck digest, warm \
+     hit's answer line byte-identical and canonical with 1 deck hit, 0 \
+     deck digests, 0 graph builds, 0 DC \
      re-solves, 0 symbolic re-analyses and 0 renderings, \
      lint gate on memoized findings, 4 concurrent in-flight \
      requests, loops cold/warm with 0 graph rebuilds, nodes=auto cover \

@@ -289,6 +289,92 @@ let test_cover_shipped () =
   List.iter (fun name -> check_cover_hits_all name (analyze_shipped name))
     shipped
 
+(* Oracle: the cover as [Report] first computed it, re-tallying every
+   remaining loop for each net it picks — O(loops^2) on chains, but
+   the choice rule is plain to read: most still-uncovered loops first,
+   smallest name on ties. *)
+let reference_cover (loops : Staticanalysis.Report.loop list) =
+  let coverable = List.filter (fun l -> l.Staticanalysis.Report.probeable <> []) loops in
+  let rec go chosen remaining =
+    match remaining with
+    | [] -> List.rev chosen
+    | _ ->
+      let tally = Hashtbl.create 32 in
+      List.iter
+        (fun (l : Staticanalysis.Report.loop) ->
+          List.iter
+            (fun n ->
+              Hashtbl.replace tally n
+                (1 + Option.value ~default:0 (Hashtbl.find_opt tally n)))
+            l.probeable)
+        remaining;
+      let best =
+        Hashtbl.fold
+          (fun n c acc ->
+            match acc with
+            | Some (bn, bc) when bc > c || (bc = c && bn <= n) -> acc
+            | _ -> Some (n, c))
+          tally None
+      in
+      (match best with
+       | None -> List.rev chosen
+       | Some (n, _) ->
+         go (n :: chosen)
+           (List.filter
+              (fun (l : Staticanalysis.Report.loop) ->
+                not (List.mem n l.probeable))
+              remaining))
+  in
+  go [] coverable
+
+let loop_of_probeable probeable =
+  { Staticanalysis.Report.id = String.concat ">" probeable;
+    nets = probeable; devices = []; gain_order = 1;
+    kind = Staticanalysis.Report.Global; probeable }
+
+(* Random loop sets over a small pool of names, so nets recur across
+   loops and tallies tie; loops may be empty (unprobeable) and may name
+   a net twice, which both versions count per occurrence. *)
+let random_loops seed =
+  let st = Random.State.make [| seed; 0xc0e |] in
+  let pool = 1 + Random.State.int st 12 in
+  List.init (Random.State.int st 40) (fun _ ->
+      loop_of_probeable
+        (List.init (Random.State.int st 6) (fun _ ->
+             Printf.sprintf "n%d" (Random.State.int st pool))))
+
+let prop_cover_vs_reference =
+  QCheck.Test.make ~name:"greedy cover agrees with the re-tallying reference"
+    ~count:2000 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let loops = random_loops seed in
+      Staticanalysis.Report.greedy_cover loops = reference_cover loops)
+
+(* [k] loops in a chain, each sharing a net with the next. *)
+let chained_loops k =
+  List.init k (fun i ->
+      loop_of_probeable
+        [ Printf.sprintf "n%04d" i; Printf.sprintf "n%04d" (i + 1) ])
+
+(* Words allocated, as for the cycle chain above: a cover that keeps its
+   tallies about doubles its allocation from 200 to 400 loops, one that
+   re-tallies the remaining loops per pick grows it 4x. *)
+let test_cover_chain_alloc () =
+  let allocated () = Gc.minor (); Gc.allocated_bytes () in
+  let words k =
+    let loops = chained_loops k in
+    let a0 = allocated () in
+    let cover = Staticanalysis.Report.greedy_cover loops in
+    let a1 = allocated () in
+    Alcotest.(check (list string)) (Printf.sprintf "%d-loop cover" k)
+      (reference_cover loops) cover;
+    (a1 -. a0) /. float_of_int (Sys.word_size / 8)
+  in
+  let w200 = words 200 and w400 = words 400 in
+  if w400 >= 3. *. w200 then
+    Alcotest.failf "allocation grew %.0f -> %.0f words (%.1fx) from 200 to \
+                    400 loops, wanted under 3x" w200 w400 (w400 /. w200)
+
 (* ---------- deterministic reports on the shipped decks ---------- *)
 
 let test_two_pole_loop_report () =
@@ -592,7 +678,10 @@ let () =
       ( "cover",
         [ Alcotest.test_case "ladder" `Quick test_cover_ladder;
           Alcotest.test_case "mesh" `Quick test_cover_mesh;
-          Alcotest.test_case "shipped circuits" `Quick test_cover_shipped ] );
+          Alcotest.test_case "shipped circuits" `Quick test_cover_shipped;
+          Alcotest.test_case "chain allocation linear" `Quick
+            test_cover_chain_alloc;
+          QCheck_alcotest.to_alcotest prop_cover_vs_reference ] );
       ( "reports",
         [ Alcotest.test_case "two_pole_loop" `Quick test_two_pole_loop_report;
           Alcotest.test_case "sallen_key" `Quick test_sallen_key_report;

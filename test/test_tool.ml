@@ -853,6 +853,121 @@ let test_pipeline_deck_family () =
   Alcotest.(check bool) "edited text fingerprints differently" true
     (edited.Tool.Pipeline.sha256 <> l1.Tool.Pipeline.sha256)
 
+(* Deck identity: the deck family is keyed by the origin and the exact
+   text, and each entry keeps the text's digest, computed once on its
+   miss ([deck.digests]). *)
+let test_pipeline_deck_identity () =
+  let cache = Tool.Cache.create () in
+  let load ~name text =
+    match
+      Tool.Pipeline.load ~cache (Tool.Pipeline.Deck_text { name; text })
+    with
+    | Ok l -> l
+    | Error f ->
+      Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
+  in
+  let misses () = counter_value "cache.deck.misses"
+  and digests () = counter_value "deck.digests" in
+  let d0 = digests () in
+  let a = load ~name:"a.sp" warn_text and b = load ~name:"b.sp" warn_text in
+  Alcotest.(check int) "one text under two names: two entries" 2
+    (family_stat cache "deck").Tool.Cache.entries;
+  List.iter
+    (fun (l : Tool.Pipeline.loaded) ->
+      Alcotest.(check string) (l.deck_name ^ " digest")
+        (Tool.Sha256.digest warn_text) l.sha256)
+    [ a; b ];
+  Alcotest.(check int) "one digest per miss" (d0 + 2) (digests ());
+  let d1 = digests () and m1 = misses () in
+  let a' = load ~name:"a.sp" warn_text in
+  Alcotest.(check int) "a warm hit computes no digest" d1 (digests ());
+  Alcotest.(check int) "... and misses nothing" m1 (misses ());
+  Alcotest.(check string) "the hit reads the stored digest"
+    a.Tool.Pipeline.sha256 a'.Tool.Pipeline.sha256;
+  (* The last byte of ".end\n" becomes a space: the same circuit, but
+     another text. *)
+  let edited =
+    String.sub warn_text 0 (String.length warn_text - 1) ^ " "
+  in
+  let e = load ~name:"a.sp" edited in
+  Alcotest.(check int) "a last-byte edit misses" (m1 + 1) (misses ());
+  Alcotest.(check string) "... with the edited text's digest"
+    (Tool.Sha256.digest edited) e.Tool.Pipeline.sha256;
+  Alcotest.(check bool) "... which is new" true
+    (e.Tool.Pipeline.sha256 <> a.Tool.Pipeline.sha256)
+
+(* A cold request lints once: the gate's findings are the ones the
+   manifest records. A warm repeat lints nothing. Counted from the
+   "lint" spans. *)
+let test_pipeline_lint_once () =
+  let cache = Tool.Cache.create () in
+  let lint_spans f =
+    Obs.Span.clear ();
+    Obs.Span.enable ();
+    Fun.protect ~finally:Obs.Span.disable f;
+    let n =
+      List.length
+        (List.filter
+           (fun (e : Obs.Span.event) -> e.name = "lint")
+           (Obs.Span.events ()))
+    in
+    Obs.Span.clear ();
+    n
+  in
+  let run () =
+    match
+      Tool.Pipeline.run ~cache
+        (Tool.Pipeline.request ~options:quick_options
+           (Tool.Pipeline.Deck_text { name = "warn.sp"; text = warn_text })
+           (Tool.Pipeline.Single_node "n"))
+    with
+    | Ok o -> o
+    | Error f -> Alcotest.failf "run failed: %s" (Tool.Pipeline.failure_message f)
+  in
+  Alcotest.(check int) "a cold run lints once" 1
+    (lint_spans (fun () -> ignore (run ())));
+  Alcotest.(check int) "a warm run lints nothing" 0
+    (lint_spans (fun () -> ignore (run ())));
+  (* The serve lint command's path: load without the gate, then ask. *)
+  let cache = Tool.Cache.create () in
+  Alcotest.(check int) "an ungated load and its findings lint once" 1
+    (lint_spans (fun () ->
+         match
+           Tool.Pipeline.load ~cache
+             ~policy:{ Tool.Pipeline.no_lint = true; strict = false }
+             (Tool.Pipeline.Deck_text { name = "warn.sp"; text = warn_text })
+         with
+         | Ok l -> ignore (Tool.Pipeline.lint_findings ~cache l)
+         | Error f ->
+           Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)))
+
+(* A [loaded] assembled by hand, field by field as a caller outside
+   [load] builds it, keys as the inline deck of its name: it hits the
+   result entry [run] filled for that deck. *)
+let test_pipeline_hand_built_loaded () =
+  let cache = Tool.Cache.create () in
+  let name = "warn.sp" and text = warn_text in
+  let analysis = Tool.Pipeline.Single_node "n" in
+  (match
+     Tool.Pipeline.run ~cache
+       (Tool.Pipeline.request ~options:quick_options
+          (Tool.Pipeline.Deck_text { name; text }) analysis)
+   with
+   | Ok { cache = `Miss; _ } -> ()
+   | Ok _ -> Alcotest.fail "the first run should miss"
+   | Error f -> Alcotest.failf "run failed: %s" (Tool.Pipeline.failure_message f));
+  let circ = Circuit.Parser.parse_string ~name text in
+  let findings = Lint.Runner.run circ in
+  let sha256 = Tool.Sha256.digest text in
+  let loaded =
+    { Tool.Pipeline.deck_name = name; deck_text = text; sha256; circ; findings }
+  in
+  match Tool.Pipeline.analyze ~cache ~options:quick_options loaded analysis with
+  | Ok o ->
+    Alcotest.(check bool) "a hand-built loaded hits the result family" true
+      (o.Tool.Pipeline.cache = `Hit)
+  | Error f -> Alcotest.failf "analyze failed: %s" (Tool.Pipeline.failure_message f)
+
 (* The fingerprint covers included files: editing only the included
    part is a new fingerprint (so a miss in every family, whose keys all
    start from it), and an include-free file keeps the digest
@@ -887,9 +1002,14 @@ let test_pipeline_include_fingerprint () =
   in
   let a = load () in
   write "tank_parts.sp" "L1 n 0 4u\nC1 n 0 1n\n";
+  let misses = counter_value "cache.deck.misses" in
   let b = load () in
+  Alcotest.(check int) "included edit is a deck miss" (misses + 1)
+    (counter_value "cache.deck.misses");
   Alcotest.(check bool) "included edit changes the fingerprint" true
     (a.Tool.Pipeline.sha256 <> b.Tool.Pipeline.sha256);
+  Alcotest.(check string) "... to the digest of the expanded text"
+    (Tool.Sha256.digest b.Tool.Pipeline.deck_text) b.Tool.Pipeline.sha256;
   check_close "edited inductor parsed" 4e-6 (inductance b);
   Alcotest.(check bool) "deck text is the expanded text" true
     (contains b.Tool.Pipeline.deck_text "L1 n 0 4u");
@@ -1068,6 +1188,11 @@ let () =
            test_pipeline_kernel_warm;
          Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
          Alcotest.test_case "deck family" `Quick test_pipeline_deck_family;
+         Alcotest.test_case "deck identity" `Quick test_pipeline_deck_identity;
+         Alcotest.test_case "a cold run lints once" `Quick
+           test_pipeline_lint_once;
+         Alcotest.test_case "hand-built loaded hits" `Quick
+           test_pipeline_hand_built_loaded;
          Alcotest.test_case "keys by origin and name" `Quick
            test_pipeline_origin_keys;
          Alcotest.test_case "fingerprint covers includes" `Quick
