@@ -18,8 +18,6 @@ type t =
   | Obj of (string * t) list
   | Rendered of string
 
-exception Parse_error of string
-
 (* --- printing --- *)
 
 let num_string v =
@@ -60,225 +58,327 @@ let to_string v =
   write buf v;
   Buffer.contents buf
 
-(* --- parsing: plain recursive descent over a string --- *)
+(* --- parsing: recursive descent over byte indices --- *)
 
-type state = { src : string; mutable pos : int }
+(* The cursor walks the text in place: no value is allocated per byte
+   looked at, a string with no escape is one [String.sub] and one with
+   escapes is measured first and then filled with one blit per
+   unescaped run. A failure raises [Fail] with [pos] left on the
+   offending byte; [of_string] adds the position to the message. *)
+type state = { src : string; len : int; mutable pos : int }
 
-let fail st msg =
-  raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
+exception Fail of string
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos]
-  else None
+(* Containers nested deeper than this are refused: requests and
+   manifests nest fewer than 10 deep, and the bound keeps the descent's
+   stack, and its time on a hostile line, small. *)
+let max_depth = 512
 
-let advance st = st.pos <- st.pos + 1
+let at st c = st.pos < st.len && String.unsafe_get st.src st.pos = c
 
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+  if st.pos < st.len then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      st.pos <- st.pos + 1;
+      skip_ws st
+    | _ -> ()
 
-let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected %C" c)
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
 
-let parse_literal st word value =
-  let n = String.length word in
-  if st.pos + n <= String.length st.src
-     && String.sub st.src st.pos n = word then begin
-    st.pos <- st.pos + n;
-    value
+(* The four characters after [\u], read as [int_of_string "0x...."]
+   reads them: the first must be a hex digit, and an underscore after
+   it is skipped. *)
+let hex4 st =
+  if st.pos + 4 > st.len then raise (Fail "short \\u escape");
+  let d = hex_digit (String.unsafe_get st.src st.pos) in
+  if d < 0 then raise (Fail "bad \\u escape");
+  let code = ref d in
+  for i = st.pos + 1 to st.pos + 3 do
+    match String.unsafe_get st.src i with
+    | '_' -> ()
+    | c ->
+      let d = hex_digit c in
+      if d < 0 then raise (Fail "bad \\u escape");
+      code := (!code lsl 4) lor d
+  done;
+  st.pos <- st.pos + 4;
+  !code
+
+(* The code point of the escape whose backslash precedes [pos]; leaves
+   [pos] past it. JSON strings carry non-BMP code points as UTF-16
+   surrogate pairs (RFC 8259 section 7): a high surrogate is only valid
+   immediately followed by an escaped low surrogate, and the pair
+   decodes to ONE code point. Unpaired surrogates in either order are
+   malformed input. *)
+let escape st =
+  if st.pos >= st.len then raise (Fail "bad escape");
+  match String.unsafe_get st.src st.pos with
+  | 'u' ->
+    st.pos <- st.pos + 1;
+    let code = hex4 st in
+    if code >= 0xd800 && code <= 0xdbff then begin
+      if
+        st.pos + 2 <= st.len
+        && String.unsafe_get st.src st.pos = '\\'
+        && String.unsafe_get st.src (st.pos + 1) = 'u'
+      then begin
+        st.pos <- st.pos + 2;
+        let low = hex4 st in
+        if low >= 0xdc00 && low <= 0xdfff then
+          0x10000 + ((code - 0xd800) lsl 10) + (low - 0xdc00)
+        else raise (Fail "unpaired surrogate in \\u escape")
+      end
+      else raise (Fail "unpaired surrogate in \\u escape")
+    end
+    else if code >= 0xdc00 && code <= 0xdfff then
+      raise (Fail "unpaired surrogate in \\u escape")
+    else code
+  | c ->
+    let code =
+      match c with
+      | '"' -> 0x22
+      | '\\' -> 0x5c
+      | '/' -> 0x2f
+      | 'n' -> 0x0a
+      | 'r' -> 0x0d
+      | 't' -> 0x09
+      | 'b' -> 0x08
+      | 'f' -> 0x0c
+      | _ -> raise (Fail "bad escape")
+    in
+    st.pos <- st.pos + 1;
+    code
+
+let utf8_length code =
+  if code < 0x80 then 1
+  else if code < 0x800 then 2
+  else if code < 0x10000 then 3
+  else 4
+
+(* UTF-8 encode [code] at [b.[i]]; manifests only ever escape control
+   characters but accept all of Unicode. *)
+let put_utf8 b i code =
+  let byte v = Char.unsafe_chr v in
+  if code < 0x80 then Bytes.unsafe_set b i (byte code)
+  else if code < 0x800 then begin
+    Bytes.unsafe_set b i (byte (0xc0 lor (code lsr 6)));
+    Bytes.unsafe_set b (i + 1) (byte (0x80 lor (code land 0x3f)))
   end
-  else fail st (Printf.sprintf "expected %s" word)
+  else if code < 0x10000 then begin
+    Bytes.unsafe_set b i (byte (0xe0 lor (code lsr 12)));
+    Bytes.unsafe_set b (i + 1) (byte (0x80 lor ((code lsr 6) land 0x3f)));
+    Bytes.unsafe_set b (i + 2) (byte (0x80 lor (code land 0x3f)))
+  end
+  else begin
+    Bytes.unsafe_set b i (byte (0xf0 lor (code lsr 18)));
+    Bytes.unsafe_set b (i + 1) (byte (0x80 lor ((code lsr 12) land 0x3f)));
+    Bytes.unsafe_set b (i + 2) (byte (0x80 lor ((code lsr 6) land 0x3f)));
+    Bytes.unsafe_set b (i + 3) (byte (0x80 lor (code land 0x3f)))
+  end
 
-let parse_string_raw st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-       | Some '"' -> Buffer.add_char buf '"'; advance st; go ()
-       | Some '\\' -> Buffer.add_char buf '\\'; advance st; go ()
-       | Some '/' -> Buffer.add_char buf '/'; advance st; go ()
-       | Some 'n' -> Buffer.add_char buf '\n'; advance st; go ()
-       | Some 'r' -> Buffer.add_char buf '\r'; advance st; go ()
-       | Some 't' -> Buffer.add_char buf '\t'; advance st; go ()
-       | Some 'b' -> Buffer.add_char buf '\b'; advance st; go ()
-       | Some 'f' -> Buffer.add_char buf '\012'; advance st; go ()
-       | Some 'u' ->
-         advance st;
-         let hex4 () =
-           if st.pos + 4 > String.length st.src then
-             fail st "short \\u escape";
-           let hex = String.sub st.src st.pos 4 in
-           let code =
-             try int_of_string ("0x" ^ hex)
-             with _ -> fail st "bad \\u escape"
-           in
-           st.pos <- st.pos + 4;
-           code
-         in
-         let code = hex4 () in
-         (* JSON strings carry non-BMP code points as UTF-16 surrogate
-            pairs (RFC 8259 section 7): a high surrogate is only valid
-            immediately followed by an escaped low surrogate, and the
-            pair decodes to ONE code point — emitting each half as its
-            own 3-byte sequence would produce invalid UTF-8. Unpaired
-            surrogates in either order are malformed input. *)
-         let code =
-           if code >= 0xd800 && code <= 0xdbff then begin
-             if
-               st.pos + 2 <= String.length st.src
-               && st.src.[st.pos] = '\\'
-               && st.src.[st.pos + 1] = 'u'
-             then begin
-               st.pos <- st.pos + 2;
-               let low = hex4 () in
-               if low >= 0xdc00 && low <= 0xdfff then
-                 0x10000 + ((code - 0xd800) lsl 10) + (low - 0xdc00)
-               else fail st "unpaired surrogate in \\u escape"
-             end
-             else fail st "unpaired surrogate in \\u escape"
-           end
-           else if code >= 0xdc00 && code <= 0xdfff then
-             fail st "unpaired surrogate in \\u escape"
-           else code
-         in
-         (* UTF-8 encode the code point; manifests only ever escape
-            control characters but accept all of Unicode. *)
-         if code < 0x80 then Buffer.add_char buf (Char.chr code)
-         else if code < 0x800 then begin
-           Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-         end
-         else if code < 0x10000 then begin
-           Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-           Buffer.add_char buf
-             (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-         end
-         else begin
-           Buffer.add_char buf (Char.chr (0xf0 lor (code lsr 18)));
-           Buffer.add_char buf
-             (Char.chr (0x80 lor ((code lsr 12) land 0x3f)));
-           Buffer.add_char buf
-             (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-         end;
-         go ()
-       | _ -> fail st "bad escape")
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
+(* The decoded length [n] plus that of the string body from [i] on,
+   leaving [pos] on its closing quote. Every escape decodes to fewer
+   bytes than it spells, so the length equals the span exactly when
+   there is none. *)
+let rec measure st i n =
+  if i >= st.len then begin
+    st.pos <- i;
+    raise (Fail "unterminated string")
+  end;
+  match String.unsafe_get st.src i with
+  | '"' ->
+    st.pos <- i;
+    n
+  | '\\' ->
+    st.pos <- i + 1;
+    let code = escape st in
+    measure st st.pos (n + utf8_length code)
+  | _ -> measure st (i + 1) (n + 1)
+
+let rec next_backslash s i stop =
+  if i >= stop || String.unsafe_get s i = '\\' then i
+  else next_backslash s (i + 1) stop
+
+(* The second pass over a string with escapes, which the first one
+   validated: copy the run from [from] to the next backslash into [b] at
+   [j], write the escape's code point, and go on up to [stop]. *)
+let rec fill st b stop from j =
+  let k = next_backslash st.src from stop in
+  Bytes.blit_string st.src from b j (k - from);
+  let j = j + (k - from) in
+  if k < stop then begin
+    st.pos <- k + 1;
+    let code = escape st in
+    put_utf8 b j code;
+    fill st b stop st.pos (j + utf8_length code)
+  end
+
+let parse_string st =
+  if not (at st '"') then raise (Fail "expected '\"'");
+  let start = st.pos + 1 in
+  let n = measure st start 0 in
+  let stop = st.pos in
+  let s =
+    if n = stop - start then String.sub st.src start n
+    else begin
+      let b = Bytes.create n in
+      fill st b stop start 0;
+      Bytes.unsafe_to_string b
+    end
   in
-  go ();
-  Buffer.contents buf
+  st.pos <- stop + 1;
+  s
 
 let parse_number st =
   let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let rec stop i =
+    if i < st.len then
+      match String.unsafe_get st.src i with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> stop (i + 1)
+      | _ -> i
+    else i
   in
-  while (match peek st with Some c -> is_num_char c | None -> false) do
-    advance st
-  done;
+  st.pos <- stop start;
   let text = String.sub st.src start (st.pos - start) in
   match float_of_string_opt text with
   | Some v -> Num v
-  | None -> fail st (Printf.sprintf "bad number %S" text)
+  | None -> raise (Fail (Printf.sprintf "bad number %S" text))
 
-let rec parse_value st =
+let parse_literal st word value =
+  let n = String.length word in
+  let rec same i =
+    i = n || (String.unsafe_get st.src (st.pos + i) = word.[i] && same (i + 1))
+  in
+  if st.pos + n <= st.len && same 0 then begin
+    st.pos <- st.pos + n;
+    value
+  end
+  else raise (Fail ("expected " ^ word))
+
+(* [depth] counts the containers around the value. *)
+let rec parse_value st depth =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '{' ->
-    advance st;
+  if st.pos >= st.len then raise (Fail "unexpected end of input");
+  match String.unsafe_get st.src st.pos with
+  | ('{' | '[') when depth >= max_depth ->
+    raise (Fail (Printf.sprintf "nesting deeper than %d" max_depth))
+  | '{' ->
+    st.pos <- st.pos + 1;
     skip_ws st;
-    if peek st = Some '}' then begin advance st; Obj [] end
-    else begin
-      let rec fields acc =
-        skip_ws st;
-        let key = parse_string_raw st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; fields ((key, v) :: acc)
-        | Some '}' -> advance st; List.rev ((key, v) :: acc)
-        | _ -> fail st "expected ',' or '}'"
-      in
-      Obj (fields [])
+    if at st '}' then begin
+      st.pos <- st.pos + 1;
+      Obj []
     end
-  | Some '[' ->
-    advance st;
+    else Obj (fields st (depth + 1))
+  | '[' ->
+    st.pos <- st.pos + 1;
     skip_ws st;
-    if peek st = Some ']' then begin advance st; Arr [] end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; items (v :: acc)
-        | Some ']' -> advance st; List.rev (v :: acc)
-        | _ -> fail st "expected ',' or ']'"
-      in
-      Arr (items [])
+    if at st ']' then begin
+      st.pos <- st.pos + 1;
+      Arr []
     end
-  | Some '"' -> Str (parse_string_raw st)
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected %C" c)
+    else Arr (items st (depth + 1))
+  | '"' -> Str (parse_string st)
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | 'n' -> parse_literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> raise (Fail (Printf.sprintf "unexpected %C" c))
+
+and[@tail_mod_cons] fields st depth =
+  skip_ws st;
+  let key = parse_string st in
+  skip_ws st;
+  if not (at st ':') then raise (Fail "expected ':'");
+  st.pos <- st.pos + 1;
+  let v = parse_value st depth in
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    (key, v) :: fields st depth
+  end
+  else if at st '}' then begin
+    st.pos <- st.pos + 1;
+    [ (key, v) ]
+  end
+  else raise (Fail "expected ',' or '}'")
+
+and[@tail_mod_cons] items st depth =
+  let v = parse_value st depth in
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    v :: items st depth
+  end
+  else if at st ']' then begin
+    st.pos <- st.pos + 1;
+    [ v ]
+  end
+  else raise (Fail "expected ',' or ']'")
 
 let of_string s =
-  let st = { src = s; pos = 0 } in
-  match parse_value st with
+  let st = { src = s; len = String.length s; pos = 0 } in
+  match parse_value st 0 with
   | v ->
     skip_ws st;
-    if st.pos <> String.length s then
+    if st.pos <> st.len then
       Error (Printf.sprintf "trailing garbage at byte %d" st.pos)
     else Ok v
-  | exception Parse_error msg -> Error msg
+  | exception Fail msg -> Error (Printf.sprintf "%s at byte %d" msg st.pos)
 
 (* Best-effort recovery of one member's value from a malformed
    document. The serve protocol wants to echo a client's "id" even
    when the request line itself failed to parse (half-written NDJSON),
-   so this scans for a quoted [key] followed by ':' and a value that
-   does parse; nesting is not tracked and the first syntactic match
-   wins — acceptable for a diagnostic echo, never for real decoding. *)
+   so this walks the text's strings in order and answers the value
+   after the first one that spells [key] and is followed by ':' and a
+   value that parses; nesting is not tracked — acceptable for a
+   diagnostic echo, never for real decoding. The walk finds each
+   string's end once, skipping escapes unchecked so that a broken one
+   cannot knock it out of step, and a failed value marks the text it
+   read as [spent], where no key is tried again: every byte is read a
+   bounded number of times, so the time is linear in the text's
+   length. *)
 let salvage_member key s =
-  let n = String.length s in
-  let rec scan i =
-    if i >= n then None
+  let len = String.length s in
+  let st = { src = s; len; pos = 0 } in
+  let rec string_end i =
+    if i >= len then None
     else
-      match String.index_from_opt s i '"' with
-      | None -> None
-      | Some q ->
-        let st = { src = s; pos = q } in
-        (match parse_string_raw st with
-         | k when k = key ->
-           (skip_ws st;
-            match peek st with
-            | Some ':' ->
-              advance st;
-              (match parse_value st with
-               | v -> Some v
-               | exception Parse_error _ -> scan (q + 1))
-            | _ -> scan (q + 1))
-         | _ -> scan (q + 1)
-         | exception Parse_error _ -> scan (q + 1))
+      match String.unsafe_get s i with
+      | '"' -> Some (i + 1)
+      | '\\' -> string_end (i + 2)
+      | _ -> string_end (i + 1)
   in
-  scan 0
+  let rec next_quote i =
+    if i >= len || String.unsafe_get s i = '"' then i else next_quote (i + 1)
+  in
+  let rec scan i spent =
+    let q = next_quote i in
+    if q >= len then None
+    else
+      match string_end (q + 1) with
+      | None -> None
+      | Some next ->
+        st.pos <- q;
+        if q >= spent && (try parse_string st = key with Fail _ -> false)
+        then begin
+          skip_ws st;
+          if at st ':' then begin
+            st.pos <- st.pos + 1;
+            match parse_value st 0 with
+            | v -> Some v
+            | exception Fail _ -> scan next st.pos
+          end
+          else scan next spent
+        end
+        else scan next spent
+  in
+  scan 0 0
 
 (* --- accessors used by manifest loading --- *)
 

@@ -33,7 +33,12 @@ val to_buffer : Buffer.t -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte-offset
-    message. *)
+    message. One pass over the text that allocates little besides the
+    values it returns: a string without escapes is one copy of its
+    bytes.
+    Containers nested more than 512 deep are refused with
+    ["nesting deeper than 512 at byte N"], so the time and stack a
+    hostile document costs stay linear in its length and bounded. *)
 
 val member : string -> t -> t option
 (** Field of an object; [None] on missing key or non-object. *)
@@ -41,10 +46,14 @@ val member : string -> t -> t option
 val salvage_member : string -> string -> t option
 (** [salvage_member key text] best-effort extraction of one member's
     value from text that may not parse as a whole (a half-written
-    NDJSON request, say): finds a quoted [key] followed by [:] and a
-    parseable value. Nesting is not tracked — the first syntactic
-    match wins — so use only for diagnostics such as echoing a request
-    id, never for real decoding. *)
+    NDJSON request, say): reads the text's strings in order and answers
+    the value after the first one that spells [key] and is followed by
+    [:] and a parseable value. Nesting is not tracked — the first
+    syntactic match wins — so use only for diagnostics such as echoing
+    a request id, never for real decoding. Each string's end is found
+    once and no key is tried inside a value that already failed to
+    parse, so the time is linear in the length of [text] whatever it
+    holds. *)
 
 val to_float : t -> float option
 val to_str : t -> string option

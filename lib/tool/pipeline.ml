@@ -308,6 +308,7 @@ type outcome = {
   stored : Cache.stored_result;
 }
 
+(* The manifest's spelling of a sweep that is not a plain decade. *)
 let sweep_fingerprint = function
   | Numerics.Sweep.Dec { start; stop; per_decade } ->
     Printf.sprintf "dec:%.17g:%.17g:%d" start stop per_decade
@@ -318,24 +319,70 @@ let sweep_fingerprint = function
     ^ String.concat ","
         (Array.to_list (Array.map (Printf.sprintf "%.17g") pts))
 
-let dc_fingerprint (o : Engine.Dcop.options) =
-  Printf.sprintf "gmin=%.17g,reltol=%.17g,vntol=%.17g,abstol=%.17g,itl=%d,step=%.17g"
-    o.gmin o.reltol o.vntol o.abstol o.max_iter o.max_step
+(* Option keys are exact and Printf-free: every field is one 8-byte
+   slot, a float's IEEE bits or an int, at a fixed place, so two option
+   values that differ in any bit of any field get different keys. *)
+let put_int b slot n = Bytes.set_int64_le b (8 * slot) (Int64.of_int n)
 
-let backend_tag = function
-  | `Auto -> "auto"
-  | `Dense -> "dense"
-  | `Plan -> "plan"
-  | `Kernel -> "kernel"
+let put_float b slot x =
+  Bytes.set_int64_le b (8 * slot) (Int64.bits_of_float x)
+
+let dc_slots = 6
+
+let put_dc b slot (o : Engine.Dcop.options) =
+  put_float b slot o.gmin;
+  put_float b (slot + 1) o.reltol;
+  put_float b (slot + 2) o.vntol;
+  put_float b (slot + 3) o.abstol;
+  put_int b (slot + 4) o.max_iter;
+  put_float b (slot + 5) o.max_step
+
+let dc_key o =
+  let b = Bytes.create (8 * dc_slots) in
+  put_dc b 0 o;
+  Bytes.unsafe_to_string b
+
+let backend_code = function `Auto -> 0 | `Dense -> 1 | `Plan -> 2 | `Kernel -> 3
 
 (* Everything that can change the numbers goes into the key; [parallel]
    does not (scheduling is bit-identical by contract, and the
-   seq-vs-par manifest diff in @health-smoke keeps it honest). *)
-let options_fingerprint (o : Stability.Analysis.options) =
-  Printf.sprintf "sweep=%s;refine=%b,%.17g,%d;min_peak=%.17g;dc=%s;be=%s;hs=%d"
-    (sweep_fingerprint o.sweep) o.refine o.refine_ratio o.refine_per_decade
-    o.min_peak (dc_fingerprint o.dc_options) (backend_tag o.backend)
-    (Engine.Health.sample_every ())
+   seq-vs-par manifest diff in @health-smoke keeps it honest). The
+   sweep comes first, tagged, its point count spelled out for a list;
+   then refinement, the peak floor, the DC options, the backend and the
+   health sampling period. *)
+let options_key (o : Stability.Analysis.options) =
+  let sweep_slots =
+    match o.sweep with
+    | Numerics.Sweep.List pts -> 2 + Array.length pts
+    | Numerics.Sweep.Dec _ | Numerics.Sweep.Lin _ -> 4
+  in
+  (* refine, refine_ratio, refine_per_decade, min_peak, backend and
+     the health period take one slot each *)
+  let b = Bytes.create (8 * (sweep_slots + 6 + dc_slots)) in
+  (match o.sweep with
+   | Numerics.Sweep.Dec { start; stop; per_decade } ->
+     put_int b 0 0;
+     put_float b 1 start;
+     put_float b 2 stop;
+     put_int b 3 per_decade
+   | Numerics.Sweep.Lin { start; stop; points } ->
+     put_int b 0 1;
+     put_float b 1 start;
+     put_float b 2 stop;
+     put_int b 3 points
+   | Numerics.Sweep.List pts ->
+     put_int b 0 2;
+     put_int b 1 (Array.length pts);
+     Array.iteri (fun k x -> put_float b (2 + k) x) pts);
+  let s = sweep_slots in
+  put_int b s (Bool.to_int o.refine);
+  put_float b (s + 1) o.refine_ratio;
+  put_int b (s + 2) o.refine_per_decade;
+  put_float b (s + 3) o.min_peak;
+  put_dc b (s + 4) o.dc_options;
+  put_int b (s + 4 + dc_slots) (backend_code o.backend);
+  put_int b (s + 5 + dc_slots) (Engine.Health.sample_every ());
+  Bytes.unsafe_to_string b
 
 let analysis_fingerprint = function
   | Single_node n -> "single:" ^ n
@@ -377,11 +424,11 @@ let manifest_options analysis (o : Stability.Analysis.options) =
 let analyze_uncached ?cache ~options loaded analysis =
   let cache = cache_or_global cache in
   let op_key =
-    key_of loaded ^ "|op|"
-    ^ dc_fingerprint options.Stability.Analysis.dc_options
+    key_of loaded ^ "|op|" ^ dc_key options.Stability.Analysis.dc_options
   in
   let plan_key =
-    op_key ^ "|plan|" ^ backend_tag options.Stability.Analysis.backend
+    op_key ^ "|plan|"
+    ^ string_of_int (backend_code options.Stability.Analysis.backend)
   in
   let w0 = Unix.gettimeofday () and c0 = cpu_seconds () in
   let probe, _ =
@@ -443,8 +490,9 @@ let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
   (* The manifest records the deck's name, so the result key adds it
      to the deck key (a file's origin holds only its basename). *)
   let result_key =
-    key_of loaded ^ "|name:" ^ loaded.deck_name ^ "|"
-    ^ analysis_fingerprint analysis ^ "|" ^ options_fingerprint options
+    String.concat ""
+      [ key_of loaded; "|name:"; loaded.deck_name; "|";
+        analysis_fingerprint analysis; "|"; options_key options ]
   in
   let stored, hit =
     Cache.result c ~key:result_key (fun () ->

@@ -11,7 +11,8 @@
    the cache without touching the parser, the linter or the engine, and
    without re-encoding its manifest: the answer splices the JSON text
    the result entry keeps ({!Cache.rendering}), and each answer line is
-   written from one buffer.
+   rendered in one buffer and written from a byte array the loop keeps,
+   so an answer allocates no string of its own.
 
    Concurrency: the accept/read side is a single [select] loop (no
    thread juggling, deterministic shutdown), and each batch of complete
@@ -508,22 +509,33 @@ type conn = {
   pending : Buffer.t;  (* bytes read, not yet terminated by '\n' *)
 }
 
-let write_all fd s =
-  let n = String.length s in
+(* Write the first [n] bytes of [b], in as many calls as the socket needs. *)
+let write_all fd b n =
   let rec go off =
     if off < n then
-      match Unix.write_substring fd s off (n - off) with
+      match Unix.write fd b off (n - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
 
-(* [v] as one newline-terminated string, rendered in [buf]. *)
-let line_of buf v =
-  Buffer.clear buf;
-  Json.to_buffer buf v;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+(* Where answer lines are written from: [v] with its newline, rendered
+   in [buf] and copied into [line], which grows to the longest line so
+   far and keeps that capacity, so an answer allocates no string of its
+   own. *)
+type writer = { buf : Buffer.t; mutable line : Bytes.t }
+
+let writer () = { buf = Buffer.create 4096; line = Bytes.create 4096 }
+
+let write_line w fd v =
+  Buffer.clear w.buf;
+  Json.to_buffer w.buf v;
+  Buffer.add_char w.buf '\n';
+  let n = Buffer.length w.buf in
+  if Bytes.length w.line < n then
+    w.line <- Bytes.create (Int.max n (2 * Bytes.length w.line));
+  Buffer.blit w.buf 0 w.line 0 n;
+  write_all fd w.line n
 
 (* Append the [n] bytes just read to [pending] and return the lines they
    complete. Only the new bytes are scanned for a newline, so a line
@@ -600,9 +612,7 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
   let read_chunk = Bytes.create 65536 in
-  (* Every answer line is rendered here; it grows to the longest answer
-     so far and keeps that capacity. *)
-  let out = Buffer.create 4096 in
+  let out = writer () in
   let finally () =
     List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       !conns;
@@ -679,7 +689,7 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
          let stop = ref false in
          List.iter
            (fun (c, response, verdict) ->
-             (try write_all c.fd (line_of out response)
+             (try write_line out c.fd response
               with Unix.Unix_error _ -> close_conn c);
              match verdict with
              | `Go -> ()
@@ -707,14 +717,14 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
 (* ---- a minimal client, for tests and scripting ---- *)
 
 module Client = struct
-  type t = { fd : Unix.file_descr; ic : in_channel }
+  type t = { fd : Unix.file_descr; ic : in_channel; out : writer }
 
   let connect path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
-    { fd; ic = Unix.in_channel_of_descr fd }
+    { fd; ic = Unix.in_channel_of_descr fd; out = writer () }
 
-  let send t req = write_all t.fd (line_of (Buffer.create 256) req)
+  let send t req = write_line t.out t.fd req
 
   let recv_line t =
     match input_line t.ic with

@@ -24,6 +24,15 @@
      bound);
    - a client that hangs up before its answer leaves the daemon serving
      (the answer's write once raised SIGPIPE and ended the process);
+   - a 256 KiB line of escaped quotes that never closes, and a line of
+     many "id" keys each followed by a broken value, are each answered
+     one code-2 error well inside the read timeout while another client
+     is still served (salvaging the id once restarted a string parse at
+     every quote, about 96 s for the first line);
+   - `acstab serve` with its stack limited to 1M words
+     (OCAMLRUNPARAM=l=1M) answers a line of a million '[' with one
+     code-2 error and then a ping (the decoder once recursed once per
+     bracket and died of a stack overflow);
    - with a one-entry cache (what `acstab serve --cache-capacity 1`
      starts), deck A, deck B (evicting A) and A again are three misses,
      and each answer's embedded manifest carries that request's
@@ -72,6 +81,37 @@ let contains s sub =
   go 0
 
 let str s = Tool.Json.Str s
+
+let error_code r =
+  Option.bind (Tool.Json.member "error" r) (Tool.Json.mem_int "code")
+
+(* [line] and its newline, written whole to a raw connection. *)
+let send_line fd line =
+  let line = line ^ "\n" in
+  let rec go off =
+    if off < String.length line then
+      go (off + Unix.write_substring fd line off (String.length line - off))
+  in
+  go 0
+
+(* One answer line read from a raw connection whose receive timeout is
+   set; [None] when the daemon closed it or the timeout expired. *)
+let read_answer fd =
+  let b = Buffer.create 256 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd c 0 1 with
+    | 0 -> None
+    | _ when Bytes.get c 0 = '\n' ->
+      (match Tool.Json.of_string (Buffer.contents b) with
+       | Ok r -> Some r
+       | Error _ -> None)
+    | _ ->
+      Buffer.add_bytes b c;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      None
+  in
+  go ()
 
 (* circuits/rlc_tank.sp split in two: R1 stays in the main deck, the
    reactive parts move to an included file. *)
@@ -254,6 +294,29 @@ let () =
   Unix.close gone;
   ping ();
 
+  (* Malformed lines whose id salvage once took time quadratic in their
+     length; each must be answered code 2 well inside the 30 s read
+     timeout, then the first client's ping. *)
+  List.iter
+    (fun (what, line) ->
+      let fd = raw () in
+      let t0 = Unix.gettimeofday () in
+      send_line fd line;
+      let answer = read_answer fd in
+      let dt = Unix.gettimeofday () -. t0 in
+      (match answer with
+       | Some r when error_code r = Some 2 -> ()
+       | Some r -> fail "%s: %s" what (Tool.Json.to_string r)
+       | None -> fail "%s: no answer" what);
+      if dt > 10. then fail "%s: answered after %.1f s" what dt;
+      Unix.close fd;
+      ping ())
+    [ ("256 KiB of escaped quotes",
+       "{\"cmd\":\"" ^ String.concat "" (List.init 131072 (fun _ -> "\\\"")));
+      (* each id's value an object that never closes, holding the next *)
+      ("many ids with broken values",
+       "{" ^ String.concat "" (List.init 40000 (fun _ -> "\"id\":{"))) ];
+
   ignore (request [ ("cmd", str "shutdown") ]);
   Tool.Server.Client.close c;
   Thread.join server;
@@ -305,6 +368,51 @@ let () =
   Tool.Server.Client.close c;
   Thread.join server;
 
+  (* A daemon process whose stack holds 1M words: a million '[' in one
+     line are refused at the nesting bound, not recursed into. *)
+  let deep = path "deep.sock" in
+  let env =
+    Array.append [| "OCAMLRUNPARAM=l=1M" |]
+      (Array.of_list
+         (List.filter
+            (fun v -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" v))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process_env acstab
+      [| acstab; "serve"; "-j"; "1"; "-q"; "--socket"; deep |]
+      env devnull devnull devnull
+  in
+  Unix.close devnull;
+  (* A failing check exits the test; the child must not outlive it. *)
+  let reaped = ref false in
+  at_exit (fun () ->
+      if not !reaped then
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  wait_for_socket deep 200;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX deep);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  send_line fd (String.make 1_000_000 '[');
+  (match read_answer fd with
+   | Some r when error_code r = Some 2 -> ()
+   | Some r -> fail "a million '[': %s" (Tool.Json.to_string r)
+   | None -> fail "a million '[': no answer (the daemon died?)");
+  send_line fd "{\"cmd\":\"ping\"}";
+  (match read_answer fd with
+   | Some r when Tool.Json.mem_bool "pong" r = Some true -> ()
+   | _ -> fail "no ping answer after a million '['");
+  send_line fd "{\"cmd\":\"shutdown\"}";
+  ignore (read_answer fd);
+  Unix.close fd;
+  let status = snd (Unix.waitpid [] pid) in
+  reaped := true;
+  (match status with
+   | Unix.WEXITED 0 -> ()
+   | Unix.WEXITED n -> fail "the small-stack daemon exited %d" n
+   | _ -> fail "the small-stack daemon was killed");
+
   (* The CLI on the self-including deck. *)
   List.iter
     (fun cmd ->
@@ -334,6 +442,8 @@ let () =
      last-byte edit answered as a miss with its own deck_sha256, one text \
      answered per origin \
      as a file and inline in both orders, over-long line answered code 2 \
-     and closed, a hung-up client left the daemon serving, A/B/A through \
+     and closed, a hung-up client left the daemon serving, escaped-quote \
+     and broken-id lines answered code 2 promptly, a million '[' answered \
+     code 2 under a 1M-word stack, A/B/A through \
      a one-entry cache answered three misses each with its own manifest, \
      CLI exits 2 on the self-including deck)"

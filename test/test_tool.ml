@@ -475,6 +475,442 @@ let test_json_unicode_escapes () =
   rejected "\"\\ud800\\ud800\"";     (* high followed by another high *)
   rejected "\"\\ude00\""             (* lone low surrogate *)
 
+(* The decoder as it stood before it became an index-based scanner,
+   kept verbatim as the oracle the scanner must agree with: same values,
+   same error messages, byte positions included. *)
+module Reference_json = struct
+  open Tool.Json
+
+  exception Parse_error of string
+
+  type state = { src : string; mutable pos : int }
+
+  let fail st msg =
+    raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
+
+  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos]
+    else None
+
+  let advance st = st.pos <- st.pos + 1
+
+  let rec skip_ws st =
+    match peek st with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+      advance st;
+      skip_ws st
+    | _ -> ()
+
+  let expect st c =
+    match peek st with
+    | Some d when d = c -> advance st
+    | _ -> fail st (Printf.sprintf "expected %C" c)
+
+  let parse_literal st word value =
+    let n = String.length word in
+    if st.pos + n <= String.length st.src
+       && String.sub st.src st.pos n = word then begin
+      st.pos <- st.pos + n;
+      value
+    end
+    else fail st (Printf.sprintf "expected %s" word)
+
+  let parse_string_raw st =
+    expect st '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek st with
+      | None -> fail st "unterminated string"
+      | Some '"' -> advance st
+      | Some '\\' ->
+        advance st;
+        (match peek st with
+         | Some '"' -> Buffer.add_char buf '"'; advance st; go ()
+         | Some '\\' -> Buffer.add_char buf '\\'; advance st; go ()
+         | Some '/' -> Buffer.add_char buf '/'; advance st; go ()
+         | Some 'n' -> Buffer.add_char buf '\n'; advance st; go ()
+         | Some 'r' -> Buffer.add_char buf '\r'; advance st; go ()
+         | Some 't' -> Buffer.add_char buf '\t'; advance st; go ()
+         | Some 'b' -> Buffer.add_char buf '\b'; advance st; go ()
+         | Some 'f' -> Buffer.add_char buf '\012'; advance st; go ()
+         | Some 'u' ->
+           advance st;
+           let hex4 () =
+             if st.pos + 4 > String.length st.src then
+               fail st "short \\u escape";
+             let hex = String.sub st.src st.pos 4 in
+             let code =
+               try int_of_string ("0x" ^ hex)
+               with _ -> fail st "bad \\u escape"
+             in
+             st.pos <- st.pos + 4;
+             code
+           in
+           let code = hex4 () in
+           let code =
+             if code >= 0xd800 && code <= 0xdbff then begin
+               if
+                 st.pos + 2 <= String.length st.src
+                 && st.src.[st.pos] = '\\'
+                 && st.src.[st.pos + 1] = 'u'
+               then begin
+                 st.pos <- st.pos + 2;
+                 let low = hex4 () in
+                 if low >= 0xdc00 && low <= 0xdfff then
+                   0x10000 + ((code - 0xd800) lsl 10) + (low - 0xdc00)
+                 else fail st "unpaired surrogate in \\u escape"
+               end
+               else fail st "unpaired surrogate in \\u escape"
+             end
+             else if code >= 0xdc00 && code <= 0xdfff then
+               fail st "unpaired surrogate in \\u escape"
+             else code
+           in
+           if code < 0x80 then Buffer.add_char buf (Char.chr code)
+           else if code < 0x800 then begin
+             Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+           end
+           else if code < 0x10000 then begin
+             Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
+             Buffer.add_char buf
+               (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+           end
+           else begin
+             Buffer.add_char buf (Char.chr (0xf0 lor (code lsr 18)));
+             Buffer.add_char buf
+               (Char.chr (0x80 lor ((code lsr 12) land 0x3f)));
+             Buffer.add_char buf
+               (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+           end;
+           go ()
+         | _ -> fail st "bad escape")
+      | Some c ->
+        Buffer.add_char buf c;
+        advance st;
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+
+  let parse_number st =
+    let start = st.pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while (match peek st with Some c -> is_num_char c | None -> false) do
+      advance st
+    done;
+    let text = String.sub st.src start (st.pos - start) in
+    match float_of_string_opt text with
+    | Some v -> Num v
+    | None -> fail st (Printf.sprintf "bad number %S" text)
+
+  let rec parse_value st =
+    skip_ws st;
+    match peek st with
+    | None -> fail st "unexpected end of input"
+    | Some '{' ->
+      advance st;
+      skip_ws st;
+      if peek st = Some '}' then begin advance st; Obj [] end
+      else begin
+        let rec fields acc =
+          skip_ws st;
+          let key = parse_string_raw st in
+          skip_ws st;
+          expect st ':';
+          let v = parse_value st in
+          skip_ws st;
+          match peek st with
+          | Some ',' -> advance st; fields ((key, v) :: acc)
+          | Some '}' -> advance st; List.rev ((key, v) :: acc)
+          | _ -> fail st "expected ',' or '}'"
+        in
+        Obj (fields [])
+      end
+    | Some '[' ->
+      advance st;
+      skip_ws st;
+      if peek st = Some ']' then begin advance st; Arr [] end
+      else begin
+        let rec items acc =
+          let v = parse_value st in
+          skip_ws st;
+          match peek st with
+          | Some ',' -> advance st; items (v :: acc)
+          | Some ']' -> advance st; List.rev (v :: acc)
+          | _ -> fail st "expected ',' or ']'"
+        in
+        Arr (items [])
+      end
+    | Some '"' -> Str (parse_string_raw st)
+    | Some 't' -> parse_literal st "true" (Bool true)
+    | Some 'f' -> parse_literal st "false" (Bool false)
+    | Some 'n' -> parse_literal st "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number st
+    | Some c -> fail st (Printf.sprintf "unexpected %C" c)
+
+  let of_string s =
+    let st = { src = s; pos = 0 } in
+    match parse_value st with
+    | v ->
+      skip_ws st;
+      if st.pos <> String.length s then
+        Error (Printf.sprintf "trailing garbage at byte %d" st.pos)
+      else Ok v
+    | exception Parse_error msg -> Error msg
+end
+
+(* Structural equality that tells numbers apart by their bits, so a
+   decoder that lost a sign of zero would not pass as equal. *)
+let rec json_same (a : Tool.Json.t) (b : Tool.Json.t) =
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal json_same xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, x) (k', y) -> String.equal k k' && json_same x y) xs ys
+  | _ -> a = b
+
+(* Random JSON documents for the oracle comparison. Values are printed
+   either by [to_string] or by a speller that picks, per code point,
+   between the raw bytes and every escape the grammar allows (\u in
+   either case, surrogate pairs for non-BMP code points), puts control
+   bytes in raw, spells numbers with exponents, and scatters
+   whitespace. A third of the documents are then cut short and a third
+   have one byte replaced, mostly by a byte the grammar cares about. *)
+let json_text_gen =
+  let open QCheck.Gen in
+  let code_point =
+    frequency
+      [ (6, int_range 0x20 0x7e); (2, int_range 0 0x1f);
+        (1, oneofl [ 0x22; 0x5c; 0x2f; 0x7f ]);
+        (1, int_range 0x80 0x7ff); (1, int_range 0x800 0xd7ff);
+        (1, int_range 0xe000 0xffff); (1, int_range 0x10000 0x10ffff) ]
+  in
+  let utf8 cps =
+    let b = Buffer.create 16 in
+    List.iter (fun c -> Buffer.add_utf_8_uchar b (Uchar.of_int c)) cps;
+    Buffer.contents b
+  in
+  let float_gen =
+    frequency
+      [ (2, map float_of_int (int_range (-1000) 1000));
+        (2, float_range (-1e6) 1e6);
+        (1, map (fun e -> Float.pow 10. (float_of_int e)) (int_range (-320) 310));
+        (1, oneofl [ 0.; -0.; 1e300; -1e-300; 5e-324; 1e15; 123456789012345678. ]) ]
+  in
+  let value =
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+        let leaf =
+          frequency
+            [ (1, return (`Null));
+              (1, map (fun b -> `Bool b) bool);
+              (2, map (fun f -> `Num f) float_gen);
+              (3, map (fun cps -> `Str cps) (list_size (int_range 0 8) code_point)) ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              (1, map (fun l -> `Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+              (1, map (fun l -> `Obj l)
+                    (list_size (int_range 0 4)
+                       (pair (list_size (int_range 0 6) code_point) (self (depth - 1))))) ])
+  in
+  let rec to_json = function
+    | `Null -> Tool.Json.Null
+    | `Bool b -> Tool.Json.Bool b
+    | `Num f -> Tool.Json.Num f
+    | `Str cps -> Tool.Json.Str (utf8 cps)
+    | `Arr l -> Tool.Json.Arr (List.map to_json l)
+    | `Obj l -> Tool.Json.Obj (List.map (fun (k, v) -> (utf8 k, to_json v)) l)
+  in
+  let spell v st =
+    let b = Buffer.create 64 in
+    let ws () =
+      if Random.State.int st 4 = 0 then
+        Buffer.add_string b
+          (List.nth [ " "; "\t"; "\n"; "\r\n "; "  " ] (Random.State.int st 5))
+    in
+    let hex4 c =
+      let h = Printf.sprintf "%04x" c in
+      Buffer.add_string b
+        (if Random.State.bool st then String.uppercase_ascii h else h)
+    in
+    let code_point c =
+      let raw () = Buffer.add_utf_8_uchar b (Uchar.of_int c) in
+      let u () =
+        Buffer.add_string b "\\u";
+        if c >= 0x10000 then begin
+          let c' = c - 0x10000 in
+          hex4 (0xd800 lor (c' lsr 10));
+          Buffer.add_string b "\\u";
+          hex4 (0xdc00 lor (c' land 0x3ff))
+        end
+        else hex4 c
+      in
+      match (c, Random.State.int st 3) with
+      | (0x22 | 0x5c), 0 -> u ()
+      | 0x22, _ -> Buffer.add_string b "\\\""
+      | 0x5c, _ -> Buffer.add_string b "\\\\"
+      | 0x2f, 0 -> Buffer.add_string b "\\/"
+      | 0x0a, 0 -> Buffer.add_string b "\\n"
+      | 0x0d, 0 -> Buffer.add_string b "\\r"
+      | 0x09, 0 -> Buffer.add_string b "\\t"
+      | 0x08, 0 -> Buffer.add_string b "\\b"
+      | 0x0c, 0 -> Buffer.add_string b "\\f"
+      | _, 1 -> u ()
+      | _ -> raw ()
+    in
+    let str cps =
+      Buffer.add_char b '"';
+      List.iter code_point cps;
+      Buffer.add_char b '"'
+    in
+    let num f =
+      let forms = [| "%.17g"; "%e"; "%E"; "%.3e"; "%g"; "%.0f" |] in
+      let text =
+        Printf.sprintf
+          (Scanf.format_from_string
+             forms.(Random.State.int st (Array.length forms)) "%f")
+          f
+      in
+      Buffer.add_string b text
+    in
+    let rec go v =
+      ws ();
+      (match v with
+       | `Null -> Buffer.add_string b "null"
+       | `Bool t -> Buffer.add_string b (if t then "true" else "false")
+       | `Num f -> num f
+       | `Str cps -> str cps
+       | `Arr l ->
+         Buffer.add_char b '[';
+         List.iteri (fun i v -> if i > 0 then Buffer.add_char b ','; go v) l;
+         ws ();
+         Buffer.add_char b ']'
+       | `Obj l ->
+         Buffer.add_char b '{';
+         List.iteri
+           (fun i (k, v) ->
+             if i > 0 then Buffer.add_char b ',';
+             ws ();
+             str k;
+             ws ();
+             Buffer.add_char b ':';
+             go v)
+           l;
+         ws ();
+         Buffer.add_char b '}');
+      ws ()
+    in
+    go v;
+    Buffer.contents b
+  in
+  let text =
+    value >>= fun v ->
+    frequency
+      [ (1, return (Tool.Json.to_string (to_json v))); (2, spell v) ]
+  in
+  let interesting = "\"\\/bfnrtu0123456789abcdefABCDEF_-+.eE{}[],: \t\r\nxz" in
+  let cut s = map (fun n -> String.sub s 0 n) (int_range 0 (String.length s)) in
+  let mutate s =
+    if s = "" then return s
+    else
+      map2
+        (fun i c ->
+          let b = Bytes.of_string s in
+          Bytes.set b i c;
+          Bytes.to_string b)
+        (int_range 0 (String.length s - 1))
+        (frequency
+           [ (4, map (String.get interesting)
+                    (int_range 0 (String.length interesting - 1)));
+             (1, char) ])
+  in
+  text >>= fun s ->
+  frequency [ (1, return s); (1, cut s); (1, mutate s) ]
+
+let prop_json_matches_reference =
+  QCheck.Test.make ~name:"json decoder agrees with the reference" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
+    (fun s ->
+      match (Tool.Json.of_string s, Reference_json.of_string s) with
+      | Ok a, Ok b -> json_same a b
+      | Error e, Error e' ->
+        e = e' || QCheck.Test.fail_reportf "errors differ: %S vs %S" e e'
+      | Ok _, Error e -> QCheck.Test.fail_reportf "reference rejects: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "scanner rejects: %s" e)
+
+(* The op-amp all-nodes request the serve daemon reads, spelled as
+   clients send it (the deck inline, so one 1.1 KB string with an
+   escape per line). The reference decoder allocated about 3,200 minor
+   words for it, one [Some c] per byte looked at. *)
+let test_json_request_alloc () =
+  let line =
+    Tool.Json.to_string
+      (Tool.Json.Obj
+         [ ("cmd", Tool.Json.Str "analyze");
+           ("name", Tool.Json.Str "opamp_2mhz_buffer.sp");
+           ("deck_text",
+            Tool.Json.Str
+              (Circuit.Netlist.to_spice (Workloads.Opamp_2mhz.buffer ())));
+           ("mode", Tool.Json.Str "all-nodes") ])
+  in
+  let decode () = Tool.Json.of_string line in
+  ignore (decode ());
+  let w0 = Gc.minor_words () in
+  let r = decode () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "decodes to the reference's value" true
+    (match (r, Reference_json.of_string line) with
+     | Ok a, Ok b -> json_same a b
+     | _ -> false);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for a %d-byte line (at most 1100)" words
+       (String.length line))
+    true (words <= 1100.)
+
+(* Nesting past [max_depth] is refused where it starts, so a line of
+   a million '[' costs one short scan instead of a million stack
+   frames. *)
+let test_json_nesting_bound () =
+  let error s =
+    match Tool.Json.of_string s with Ok _ -> None | Error e -> Some e
+  in
+  let nest n = String.make n '[' ^ String.make n ']' in
+  let refused = Some "nesting deeper than 512 at byte 512" in
+  Alcotest.(check (option string)) "512 levels parse" None (error (nest 512));
+  Alcotest.(check (option string)) "513 levels" refused (error (nest 513));
+  Alcotest.(check (option string)) "a million '['" refused
+    (error (String.make 1_000_000 '['));
+  Alcotest.(check (option string)) "objects count too"
+    (Some "nesting deeper than 512 at byte 2560")
+    (error (String.concat "" (List.init 600 (fun _ -> "{\"a\":"))))
+
+(* What the daemon echoes from a malformed line: the first "id" member
+   whose value parses, found in one pass however the line is broken. *)
+let test_json_salvage () =
+  let salvage s = Tool.Json.salvage_member "id" s in
+  let id = Alcotest.(option string) in
+  let str v = Option.bind v Tool.Json.to_str in
+  Alcotest.check id "half-written line" (Some "x1")
+    (str (salvage "{\"cmd\":\"ping\",\"id\":\"x1\""));
+  Alcotest.check id "broken values skipped" (Some "ok")
+    (str (salvage "{\"id\":[1,\"id\":{,\"id\":tru,\"id\":\"ok\""));
+  Alcotest.check id "key inside a string value" (Some "in")
+    (str (salvage "{\"a\":\"b\", \"id\" : \"in\", \"c\":"));
+  Alcotest.check id "escaped quotes never close" None
+    (str (salvage ("{\"cmd\":\"" ^ String.concat "" (List.init 5000 (fun _ -> "\\\"")))));
+  Alcotest.check id "a bad escape in a key" (Some "y")
+    (str (salvage "{\"\\q\":1,\"id\":\"y\""));
+  Alcotest.check id "no key" None (str (salvage "{\"cmd\":\"ping\""));
+  Alcotest.check id "empty" None (str (salvage ""))
+
 (* ---------- manifests ---------- *)
 
 let ladder_results () =
@@ -749,6 +1185,57 @@ let test_pipeline_cache_keys () =
     (o'.Tool.Pipeline.cache = `Miss);
   Alcotest.(check bool) "edited deck re-solves DC" true
     (counter_value "dcop.solves" > dc)
+
+(* The result key holds every option field exactly: through
+   [Pipeline.run], options that differ from the base in one field each
+   (a float moved by one ulp, an int, a flag, a DC option, the backend)
+   miss, and an equal record built afresh hits. *)
+let test_pipeline_options_key () =
+  let cache = Tool.Cache.create () in
+  let deck =
+    Tool.Pipeline.Deck_text
+      { name = "tank.sp";
+        text = "tank\nR1 n 0 100\nL1 n 0 1u\nC1 n 0 1n\n.end\n" }
+  in
+  let base () =
+    { Stability.Analysis.default_options with
+      sweep = Numerics.Sweep.decade 1e5 1e8 5 }
+  in
+  let verdict options =
+    match
+      Tool.Pipeline.run ~cache
+        (Tool.Pipeline.request ~options deck (Tool.Pipeline.Single_node "n"))
+    with
+    | Ok o -> o.Tool.Pipeline.cache
+    | Error f -> Alcotest.failf "run failed: %s" (Tool.Pipeline.failure_message f)
+  in
+  let b = base () in
+  let dc = b.Stability.Analysis.dc_options in
+  let with_dc dc' = { b with Stability.Analysis.dc_options = dc' } in
+  let succ = Float.succ in
+  Alcotest.(check bool) "cold base misses" true (verdict b = `Miss);
+  List.iter
+    (fun (what, options) ->
+      Alcotest.(check bool) (what ^ " misses") true (verdict options = `Miss))
+    [ ("sweep start", { b with sweep = Numerics.Sweep.Dec { start = succ 1e5; stop = 1e8; per_decade = 5 } });
+      ("sweep stop", { b with sweep = Numerics.Sweep.Dec { start = 1e5; stop = succ 1e8; per_decade = 5 } });
+      ("points per decade", { b with sweep = Numerics.Sweep.decade 1e5 1e8 6 });
+      ("linear sweep", { b with sweep = Numerics.Sweep.Lin { start = 1e5; stop = 1e8; points = 5 } });
+      ("refine", { b with refine = not b.refine });
+      ("refine ratio", { b with refine_ratio = succ b.refine_ratio });
+      ("refine density", { b with refine_per_decade = b.refine_per_decade + 1 });
+      ("peak floor", { b with min_peak = succ b.min_peak });
+      ("gmin", with_dc { dc with gmin = succ dc.gmin });
+      ("reltol", with_dc { dc with reltol = succ dc.reltol });
+      ("vntol", with_dc { dc with vntol = succ dc.vntol });
+      ("abstol", with_dc { dc with abstol = succ dc.abstol });
+      ("max_iter", with_dc { dc with max_iter = dc.max_iter + 1 });
+      ("max_step", with_dc { dc with max_step = succ dc.max_step });
+      ("dense backend", { b with backend = `Dense });
+      ("plan backend", { b with backend = `Plan });
+      ("kernel backend", { b with backend = `Kernel }) ];
+  Alcotest.(check bool) "an equal record built afresh hits" true
+    (verdict (base ()) = `Hit)
 
 let test_cache_eviction () =
   let c = Tool.Cache.create ~capacity:2 () in
@@ -1171,7 +1658,12 @@ let () =
        [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
          Alcotest.test_case "errors" `Quick test_json_errors;
          Alcotest.test_case "unicode escapes" `Quick
-           test_json_unicode_escapes ]);
+           test_json_unicode_escapes;
+         QCheck_alcotest.to_alcotest prop_json_matches_reference;
+         Alcotest.test_case "request line allocation" `Quick
+           test_json_request_alloc;
+         Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
+         Alcotest.test_case "salvage in one pass" `Quick test_json_salvage ]);
       ("manifest",
        [ Alcotest.test_case "build/load roundtrip" `Quick
            test_manifest_roundtrip;
@@ -1196,7 +1688,9 @@ let () =
          Alcotest.test_case "keys by origin and name" `Quick
            test_pipeline_origin_keys;
          Alcotest.test_case "fingerprint covers includes" `Quick
-           test_pipeline_include_fingerprint ]);
+           test_pipeline_include_fingerprint;
+         Alcotest.test_case "options key is exact" `Quick
+           test_pipeline_options_key ]);
       ("pipeline",
        [ Alcotest.test_case "failures as values" `Quick
            test_pipeline_failures ]) ]
