@@ -1151,19 +1151,30 @@ let top_cmd =
 let export_cmd =
   let dir =
     Arg.(value & opt string "."
-         & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
+         & info [ "dir" ] ~docv:"DIR"
+             ~doc:"Output directory, made (with its parents) if missing.")
   in
   let run () dir =
+    (* A directory that does not exist is made, parents included; one
+       that cannot be made or written is a usage error, not a crash. *)
+    let usage_error m =
+      Printf.eprintf "error: %s\n" m;
+      exit 2
+    in
+    let rec make_dir d =
+      if not (Sys.file_exists d) then begin
+        make_dir (Filename.dirname d);
+        try Sys.mkdir d 0o755
+        with Sys_error _ when Sys.file_exists d && Sys.is_directory d -> ()
+      end
+    in
+    (try make_dir dir with Sys_error m -> usage_error m);
     let dump name circ =
       let path = Filename.concat dir (name ^ ".sp") in
-      (* A directory that does not exist or cannot be written is a
-         usage error, not a crash. *)
       (try
          Out_channel.with_open_text path (fun oc ->
              output_string oc (Circuit.Netlist.to_spice circ))
-       with Sys_error m ->
-         Printf.eprintf "error: %s\n" m;
-         exit 2);
+       with Sys_error m -> usage_error m);
       Printf.printf "wrote %s\n" path
     in
     dump "opamp_2mhz_buffer" (Workloads.Opamp_2mhz.buffer ());

@@ -18,11 +18,12 @@ open Numerics
    solve.
 
    The probes compile one plan per strongly connected block of the
-   pencil ([Blocks], [compile_blocks]): a net's driving-point response
-   depends only on its block, so each plan holds one diagonal block at
-   local indices and runs its own symbolic analysis. [compile] is the
-   one-block case, the whole system, for the AC analysis whose sources
-   drive every block. *)
+   pencil ([Blocks]): a net's driving-point response depends only on
+   its block, so each plan holds one diagonal block at local indices
+   and runs its own symbolic analysis. A probe compiles a block's plan
+   when it first probes that block ([set]), so the blocks nobody probes
+   are never compiled. [compile] is the one-block case, the whole
+   system, for the AC analysis whose sources drive every block. *)
 
 type totals = {
   symbolic : int;
@@ -82,74 +83,131 @@ let omega_ref freqs =
 
 (* ---- skeleton compilation ---- *)
 
-(* One plan per diagonal block of [blocks], from one fold of the
-   pencil: each entry inside a block is summed into that block's table
-   at its local (row, column), in the pencil's order. On the one-block
-   identity map ([Blocks.whole]) the keys, the summation order and so
-   every bit of the skeleton are those of a whole-system compile. *)
-let compile_blocks ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op
-    ~blocks mna =
-  let t_compile = Obs.Span.enter () in
-  (* Accumulate the pencil's (g, c) per matrix entry. *)
-  let tbls : (int, float ref * float ref) Hashtbl.t array =
-    Array.init (Blocks.count blocks) (fun b ->
-        Hashtbl.create (4 * Blocks.size blocks b))
-  in
-  Blocks.pencil blocks mna (Linearize.of_op op) ~gmin (fun b i j g c ->
-      let key = (j * Blocks.size blocks b) + i in
-      let gr, cr =
-        match Hashtbl.find_opt tbls.(b) key with
-        | Some cell -> cell
-        | None ->
-          let cell = (ref 0., ref 0.) in
-          Hashtbl.add tbls.(b) key cell;
-          cell
+(* The plans of a circuit's blocks, each compiled when a probe first
+   needs it: a request that probes one block of a chain pays one
+   symbolic analysis, and a block no request probes costs nothing but
+   its empty cell. The cells are atomics, not [Lazy.t]s: pool domains
+   may fill one set at once, and racing domains store equal plans. *)
+type set = {
+  mna : Mna.t;
+  op : Dcop.t;
+  blocks : Blocks.t;
+  gmin : float;
+  omega_ref : float;
+  cells : t option Atomic.t array;
+}
+
+let on_demand ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op ~blocks
+    mna =
+  { mna; op; blocks; gmin; omega_ref;
+    cells = Array.init (Blocks.count blocks) (fun _ -> Atomic.make None) }
+
+let count s = Array.length s.cells
+
+let compiled s =
+  Array.fold_left
+    (fun acc c -> if Option.is_some (Atomic.get c) then acc + 1 else acc)
+    0 s.cells
+
+(* Compile every listed block that has no plan yet, from one fold of
+   the pencil: each entry inside a wanted block is summed into that
+   block's table at its local (row, column), in the pencil's order.
+   Which other blocks are wanted, or compiled already, changes neither
+   the entries of a block nor their order, so a block's plan has the
+   same bits however it came to be compiled; on the one-block identity
+   map ([Blocks.whole]) they are those of a whole-system compile. *)
+let need s wanted =
+  let blocks = s.blocks in
+  let tbls = Array.make (count s) None in
+  List.iter
+    (fun b ->
+      if Option.is_none (Atomic.get s.cells.(b)) && Option.is_none tbls.(b)
+      then tbls.(b) <- Some (Hashtbl.create (4 * Blocks.size blocks b)))
+    wanted;
+  if Array.exists Option.is_some tbls then begin
+    let t_compile = Obs.Span.enter () in
+    (* Accumulate the pencil's (g, c) per matrix entry. *)
+    Blocks.pencil blocks s.mna (Linearize.of_op s.op) ~gmin:s.gmin
+      (fun b i j g c ->
+        match tbls.(b) with
+        | None -> ()
+        | Some tbl ->
+          let key = (j * Blocks.size blocks b) + i in
+          let gr, cr =
+            match Hashtbl.find_opt tbl key with
+            | Some cell -> cell
+            | None ->
+              let cell = (ref 0., ref 0.) in
+              Hashtbl.add tbl key cell;
+              cell
+          in
+          gr := !gr +. g;
+          cr := !cr +. c);
+    let plan_of b tbl =
+      let size = Blocks.size blocks b in
+      (* Flatten to CSC, columns then rows ascending. *)
+      let entries =
+        Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
+        |> List.sort (fun (x, _, _) (y, _, _) -> compare x y)
       in
-      gr := !gr +. g;
-      cr := !cr +. c);
-  let plan_of b tbl =
-    let size = Blocks.size blocks b in
-    (* Flatten to CSC, columns then rows ascending. *)
-    let entries =
-      Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
-      |> List.sort (fun (x, _, _) (y, _, _) -> compare x y)
+      let n = List.length entries in
+      let colptr = Array.make (size + 1) 0 in
+      let rowidx = Array.make n 0 in
+      let gvals = Array.make n 0. and cvals = Array.make n 0. in
+      List.iteri
+        (fun p (key, g, c) ->
+          let j = key / size and i = key mod size in
+          colptr.(j + 1) <- colptr.(j + 1) + 1;
+          rowidx.(p) <- i;
+          gvals.(p) <- g;
+          cvals.(p) <- c)
+        entries;
+      for j = 0 to size - 1 do
+        colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+      done;
+      (* One symbolic analysis per block plan. The reference frequency
+         only seeds the pivot order; it defaults to 1 MHz, mid-band for
+         the tool's decade sweeps. *)
+      let values =
+        Array.init n (fun p ->
+            Cx.make gvals.(p) (s.omega_ref *. cvals.(p)))
+      in
+      let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
+      let sym, _ = Scmat.analyze a in
+      Obs.Counter.incr n_symbolic;
+      { size; colptr; rowidx; gvals; cvals; sym }
     in
-    let n = List.length entries in
-    let colptr = Array.make (size + 1) 0 in
-    let rowidx = Array.make n 0 in
-    let gvals = Array.make n 0. and cvals = Array.make n 0. in
-    List.iteri
-      (fun p (key, g, c) ->
-        let j = key / size and i = key mod size in
-        colptr.(j + 1) <- colptr.(j + 1) + 1;
-        rowidx.(p) <- i;
-        gvals.(p) <- g;
-        cvals.(p) <- c)
-      entries;
-    for j = 0 to size - 1 do
-      colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
-    done;
-    (* One symbolic analysis per block plan. The reference frequency
-       only seeds the pivot order; [omega_ref] defaults to 1 MHz,
-       mid-band for the tool's decade sweeps. *)
-    let values =
-      Array.init n (fun p -> Cx.make gvals.(p) (omega_ref *. cvals.(p)))
-    in
-    let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
-    let sym, _ = Scmat.analyze a in
-    Obs.Counter.incr n_symbolic;
-    { size; colptr; rowidx; gvals; cvals; sym }
-  in
-  let plans = Array.mapi plan_of tbls in
-  let total f = Array.fold_left (fun acc p -> acc + f p) 0 plans in
-  Obs.Span.leave "acplan.compile"
-    ~args:
-      [ ("unknowns", mna.Mna.size);
-        ("blocks", Array.length plans);
-        ("nnz", total nnz);
-        ("fill", total (fun p -> Scmat.fill p.sym)) ]
-    t_compile;
-  plans
+    let made = ref 0 and nnz_made = ref 0 and fill_made = ref 0 in
+    Array.iteri
+      (fun b -> function
+        | None -> ()
+        | Some tbl ->
+          let p = plan_of b tbl in
+          Atomic.set s.cells.(b) (Some p);
+          incr made;
+          nnz_made := !nnz_made + nnz p;
+          fill_made := !fill_made + Scmat.fill p.sym)
+      tbls;
+    Obs.Span.leave "acplan.compile"
+      ~args:
+        [ ("unknowns", s.mna.Mna.size);
+          ("blocks", !made);
+          ("nnz", !nnz_made);
+          ("fill", !fill_made) ]
+      t_compile
+  end
+
+let rec get s b =
+  match Atomic.get s.cells.(b) with
+  | Some p -> p
+  | None ->
+    need s [ b ];
+    get s b
+
+let compile_blocks ?gmin ?omega_ref ~op ~blocks mna =
+  let s = on_demand ?gmin ?omega_ref ~op ~blocks mna in
+  need s (List.init (count s) Fun.id);
+  Array.init (count s) (get s)
 
 let compile ?gmin ?omega_ref ~op mna =
   (compile_blocks ?gmin ?omega_ref ~op ~blocks:(Blocks.whole mna.Mna.size)

@@ -10,9 +10,9 @@
     at that frequency through a multi-RHS batch solve.
 
     A plan holds either the whole system ({!compile}) or one diagonal
-    block of the pencil's block-triangular form ({!compile_blocks}, one
-    plan per block of {!Blocks}, from a single fold of the pencil): the
-    probes solve each net against its own block, and a one-block
+    block of the pencil's block-triangular form ({!set}, one cell per
+    block of {!Blocks}, filled when a probe first needs that block):
+    the probes solve each net against its own block, and a one-block
     circuit's plan is the whole-system plan bit for bit.
 
     Plans are immutable after compilation, so one plan may be shared by
@@ -20,18 +20,46 @@
 
 type t
 
+type set
+(** The plans of a circuit's blocks, one cell per block of a
+    {!Blocks.t}, each compiled when first needed and then kept. A set
+    holds no plan for a block that nothing has asked for. Safe to share
+    between domains: two domains that need one block at once may both
+    compile it, and store equal plans. *)
+
+val on_demand :
+  ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> blocks:Blocks.t ->
+  Mna.t -> set
+(** An empty set over [blocks]: compiles nothing. [gmin] (default
+    1e-12) is added on node diagonals exactly as in the dense path.
+    [omega_ref] (default 2*pi*1e6) seeds each block's pivot order; any
+    in-band frequency works — frequencies where the frozen order goes
+    numerically stale re-pivot automatically. *)
+
+val need : set -> int list -> unit
+(** Compile every listed block that has no plan yet, from a single fold
+    of the pencil, one symbolic analysis each (the [acplan.symbolic]
+    counter moves once per block compiled). A list whose blocks are all
+    compiled costs nothing. A block's plan has the same bits whichever
+    call compiles it, and whatever else that call compiles. *)
+
+val get : set -> int -> t
+(** The plan of block [b], compiled alone first if no call has. Call
+    {!need} first with every block a sweep will read, so they share one
+    fold. *)
+
+val count : set -> int
+(** Number of blocks (cells) of the set. *)
+
+val compiled : set -> int
+(** Number of blocks whose plan the set holds. *)
+
 val compile_blocks :
   ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> blocks:Blocks.t ->
   Mna.t -> t array
-(** One plan per diagonal block of [blocks] (indexed like the blocks),
-    built from a single fold of the pencil: each plan's skeleton holds
-    its block's entries at local indices, and each runs its own
-    symbolic analysis (the [acplan.symbolic] counter moves once per
-    block). [gmin] (default 1e-12) is added on node diagonals exactly
-    as in the dense path. [omega_ref] (default 2*pi*1e6) seeds the
-    pivot order; any in-band frequency works — frequencies where the
-    frozen order goes numerically stale re-pivot automatically. On
-    [Blocks.whole] the one plan is bit for bit the {!compile} plan. *)
+(** Every block's plan (indexed like the blocks): {!need} on a fresh
+    {!on_demand} set with all of its blocks. On [Blocks.whole] the one
+    plan is bit for bit the {!compile} plan. *)
 
 val compile : ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> Mna.t -> t
 (** The whole system as one plan: {!compile_blocks} on

@@ -113,6 +113,24 @@ let compile plan =
     t0;
   k
 
+(* One kernel per block of a plan set, each compiled from its block's
+   plan when first needed; the atomic cells follow [Ac_plan.set]. *)
+type set = { plans : Ac_plan.set; kernels : t option Atomic.t array }
+
+let on_demand plans =
+  { plans;
+    kernels = Array.init (Ac_plan.count plans) (fun _ -> Atomic.make None) }
+
+let plans s = s.plans
+
+let get s b =
+  match Atomic.get s.kernels.(b) with
+  | Some k -> k
+  | None ->
+    let k = compile (Ac_plan.get s.plans b) in
+    Atomic.set s.kernels.(b) (Some k);
+    k
+
 type workspace = {
   k : t;
   rhs : Complex.t array array;  (* original batch: fallback + health *)

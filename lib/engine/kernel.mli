@@ -26,6 +26,20 @@ val compile : Ac_plan.t -> t
     (array flattening, no factorisation) — but cached per fingerprint by
     [Tool.Cache] so warm repeats compile nothing at all. *)
 
+type set
+(** One kernel per block of an {!Ac_plan.set}, each compiled from its
+    block's plan when first needed and then kept, like the plans. *)
+
+val on_demand : Ac_plan.set -> set
+(** An empty kernel set over these plans: compiles nothing. *)
+
+val plans : set -> Ac_plan.set
+(** The plan set the kernels are compiled from. *)
+
+val get : set -> int -> t
+(** The kernel of block [b], compiling it (and its plan, if
+    {!Ac_plan.need} has not) on first use. *)
+
 val size : t -> int
 
 val chunk : int

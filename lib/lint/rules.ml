@@ -610,20 +610,20 @@ let loop_no_compensation =
     check =
       (fun ctx ->
         let report = Lazy.force ctx.static in
-        let cap_nets =
-          List.concat_map
-            (fun d ->
-              match d with
-              | Netlist.Capacitor { n1; n2; _ } -> [ canon n1; canon n2 ]
-              | _ -> [])
-            (Netlist.devices ctx.circ)
-        in
+        let cap_nets = Hashtbl.create 64 in
+        List.iter
+          (function
+            | Netlist.Capacitor { n1; n2; _ } ->
+              Hashtbl.replace cap_nets (canon n1) ();
+              Hashtbl.replace cap_nets (canon n2) ()
+            | _ -> ())
+          (Netlist.devices ctx.circ);
         List.filter_map
           (fun (l : Staticanalysis.Report.loop) ->
             match l.kind with
             | Staticanalysis.Report.Local _ -> None
             | Staticanalysis.Report.Global ->
-              if List.exists (fun n -> List.mem n cap_nets) l.nets then None
+              if List.exists (Hashtbl.mem cap_nets) l.nets then None
               else
                 Some
                   (mk ctx ~nets:l.nets ~devices:l.devices
@@ -682,42 +682,34 @@ let undrivable_probe =
     check =
       (fun ctx ->
         let report = Lazy.force ctx.static in
-        let g = report.Staticanalysis.Report.graph in
-        let reach = Staticanalysis.Sfg.reachable_from_sources g in
         List.filter_map
-          (fun n ->
+          (fun (n, target) ->
             if Netlist.is_ground n then
               Some
                 (mk ctx ~nets:[ n ] ~id:"undrivable-probe" Warning
                    ".stab targets ground, the AC reference: its response \
                     is identically zero")
             else
-              match Staticanalysis.Sfg.index g n with
-              | None ->
+              match (target : Staticanalysis.Report.target) with
+              | Absent ->
                 Some
                   (mk ctx ~nets:[ n ] ~id:"undrivable-probe" Error
                      ".stab names net %S, which does not exist in the \
                       design" n)
-              | Some v ->
-                if Staticanalysis.Sfg.is_pinned g v then
-                  let driver =
-                    Option.value ~default:"?"
-                      (Staticanalysis.Sfg.pinning_driver g v)
-                  in
-                  Some
-                    (mk ctx ~nets:[ n ] ~devices:[ driver ]
-                       ~id:"undrivable-probe" Warning
-                       ".stab target %S is voltage-pinned by %S: its \
-                        driving-point response reveals nothing" n driver)
-                else (
-                  match reach with
-                  | Some seen when not seen.(v) ->
-                    Some
-                      (mk ctx ~nets:[ n ] ~id:"undrivable-probe" Warning
-                         ".stab target %S is unreachable from every \
-                          independent source: stimulus cannot excite it" n)
-                  | _ -> None))
-          (Staticanalysis.Sfg.stab_targets g)) }
+              | Pinned driver ->
+                let driver = Option.value ~default:"?" driver in
+                Some
+                  (mk ctx ~nets:[ n ] ~devices:[ driver ]
+                     ~id:"undrivable-probe" Warning
+                     ".stab target %S is voltage-pinned by %S: its \
+                      driving-point response reveals nothing" n driver)
+              | Unreachable ->
+                Some
+                  (mk ctx ~nets:[ n ] ~id:"undrivable-probe" Warning
+                     ".stab target %S is unreachable from every \
+                      independent source: stimulus cannot excite it" n)
+              | Drivable -> None)
+          report.Staticanalysis.Report.stab_targets) }
 
 let unobservable_loop =
   { id = "unobservable-loop";

@@ -58,38 +58,39 @@ let refined x y i =
   in
   (exp xv, yv, x.(i + 1) /. x.(i - 1), quality)
 
-let prominence_of y i kind =
-  (* Height of the extremum above/below its key saddle: walk outward on
-     each side, tracking the most opposing level reached, until a more
-     extreme sample appears (the saddle closes) or the data ends. A side
-     with no samples at all (extremum at the array edge) imposes no
-     barrier. *)
-  let n = Array.length y in
-  let better a b = match kind with Minimum -> a < b | Maximum -> a > b in
-  let walk step =
-    let rec go k saddle =
-      if k < 0 || k >= n then saddle
-      else if better y.(k) y.(i) then saddle
-      else
-        let saddle =
-          match saddle with
-          | Some s when better y.(k) s -> saddle
-          | _ -> Some y.(k)
-        in
-        go (k + step) saddle
-    in
-    go (i + step) None
+(* The index of the key saddle on one side of sample [i], walking from
+   [k] by [step] (-1 or 1); [s] is the saddle so far, -1 for none, which
+   is also the answer when that side has no samples. Walk outward,
+   tracking the most opposing level reached, until a more extreme sample
+   appears (the saddle closes) or the data ends. "More extreme" is below
+   for a minimum and above for a maximum. The walk carries the saddle's
+   index, not its value, and compares unboxed floats in place (the
+   annotation keeps the array access and the comparisons float ones), so
+   it allocates nothing. *)
+let rec saddle (y : float array) i is_min step k s =
+  if k < 0 || k >= Array.length y then s
+  else
+    let v = y.(k) in
+    if (if is_min then v < y.(i) else v > y.(i)) then s
+    else
+      saddle y i is_min step (k + step)
+        (if s >= 0 && (if is_min then v < y.(s) else v > y.(s)) then s else k)
+
+(* Whether the extremum stands [min_prominence] above/below its key
+   saddle, the nearer of the two sides' saddles. A side with no samples
+   at all (extremum at the array edge) imposes no barrier. *)
+let prominent (y : float array) i kind min_prominence =
+  let is_min = kind = Minimum in
+  let l = saddle y i is_min (-1) (i - 1) (-1)
+  and r = saddle y i is_min 1 (i + 1) (-1) in
+  let b =
+    if l >= 0 && r >= 0 then
+      if (if is_min then y.(l) < y.(r) else y.(l) > y.(r)) then l else r
+    else if l >= 0 then l
+    else r
   in
-  let barrier =
-    match (walk (-1), walk 1) with
-    | Some l, Some r -> Some (if better l r then l else r)
-    | Some l, None -> Some l
-    | None, Some r -> Some r
-    | None, None -> None
-  in
-  match barrier with
-  | Some b -> Float.abs (b -. y.(i))
-  | None -> Float.infinity
+  (if b < 0 then Float.infinity else Float.abs (y.(b) -. y.(i)))
+  >= min_prominence
 
 let find ?(min_prominence = 0.) ~x ~y () =
   let n = Array.length x in
@@ -97,15 +98,18 @@ let find ?(min_prominence = 0.) ~x ~y () =
   if n < 3 then []
   else begin
     let out = ref [] in
+    (* The prominence filter runs first: most local extrema of a
+       sampled curve are ripples it drops, and they need no refinement. *)
     let emit kind i at_edge =
-      let xr, yr, bracket_ratio, curvature =
-        if at_edge || i = 0 || i = n - 1 then (x.(i), y.(i), 1., 0.)
-        else refined x y i
-      in
-      if prominence_of y i kind >= min_prominence then
+      if prominent y i kind min_prominence then begin
+        let xr, yr, bracket_ratio, curvature =
+          if at_edge || i = 0 || i = n - 1 then (x.(i), y.(i), 1., 0.)
+          else refined x y i
+        in
         out :=
           { kind; index = i; x = xr; y = yr; at_edge; bracket_ratio; curvature }
           :: !out
+      end
     in
     (* Interior extrema, treating plateaus as a single extremum at their
        centre. *)

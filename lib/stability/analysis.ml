@@ -26,10 +26,10 @@ let probe_backend opts =
   | `Auto -> None
   | (`Dense | `Plan | `Kernel) as b -> Some b
 
-(* One compiled plan set (one plan per block) for the whole run mode:
-   the coarse scan and every zoom window share the circuit's MNA
-   pattern, so they share its symbolic analyses too. [None] on the
-   dense paths. *)
+(* One plan set (one cell per block) for the whole run mode: the coarse
+   scan and every zoom window share the circuit's MNA pattern, so they
+   share its symbolic analyses too. Empty here: the sweeps compile the
+   blocks they probe. [None] on the dense paths. *)
 let shared_plan opts probe =
   let plan_backed =
     match opts.backend with
@@ -40,13 +40,13 @@ let shared_plan opts probe =
   in
   if plan_backed then Some (Probe.plan probe ~sweep:opts.sweep) else None
 
-(* One compiled kernel per block plan per run mode, for the same
-   reason: coarse scan and zoom windows share each plan's symbolic
-   analysis, hence also its flattened kernel program. [None] unless the
-   kernel backend is selected. *)
+(* One kernel set per run mode, for the same reason: coarse scan and
+   zoom windows share each plan's symbolic analysis, hence also its
+   flattened kernel program. Empty too. [None] unless the kernel
+   backend is selected. *)
 let shared_kernel opts plan =
   match (opts.backend, plan) with
-  | `Kernel, Some p -> Some (Array.map Engine.Kernel.compile p)
+  | `Kernel, Some p -> Some (Engine.Kernel.on_demand p)
   | _ -> None
 
 let response_many opts ?plan ?kernel ?health probe nodes ~sweep =

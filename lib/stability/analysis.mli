@@ -16,10 +16,11 @@
 
     Each net is probed through its own strongly connected block of the
     pencil ({!Probe}, {!Engine.Blocks}). On the plan-backed solver paths
-    a run mode compiles exactly one {!Engine.Ac_plan} per block and
-    reuses the set for the coarse scan and every zoom window — one
-    symbolic analysis per block for an entire all-nodes run, refinement
-    included ({!Engine.Ac_plan.totals} counters verify it) — and keeps
+    a run mode compiles exactly one {!Engine.Ac_plan} per probed block,
+    when its coarse scan first probes it, and reuses the set for every
+    zoom window — one symbolic analysis per probed block for an entire
+    run, refinement included ({!Engine.Ac_plan.totals} counters verify
+    it); a block that holds no probed net is never compiled. It keeps
     one health meter per block, so each net is graded by the
     factorisations of its own block. *)
 
@@ -101,34 +102,37 @@ val all_nodes :
     Results come back in net-name order. *)
 
 val single_node_prepared :
-  ?options:options -> ?plan:Engine.Ac_plan.t array ->
-  ?kernel:Engine.Kernel.t array -> Probe.t -> Circuit.Netlist.node ->
+  ?options:options -> ?plan:Engine.Ac_plan.set ->
+  ?kernel:Engine.Kernel.set -> Probe.t -> Circuit.Netlist.node ->
   node_result
 (** As {!single_node} with a pre-computed operating point. [plan] hands
-    in an already-compiled plan set (see {!shared_plan}) so a caller
-    holding one — the fingerprint-keyed [Tool.Cache] across repeated
-    requests on the same deck — pays zero further symbolic analyses;
+    in a plan set (see {!shared_plan}) that a caller keeps across
+    requests — the fingerprint-keyed [Tool.Cache] on the same deck — so
+    a block an earlier request compiled costs no further symbolic
+    analysis, and a block this request compiles is kept for the next;
     [kernel] does the same for the compiled kernel programs (see
     {!shared_kernel}) on the [`Kernel] backend. *)
 
 val all_nodes_prepared :
   ?options:options -> ?nodes:Circuit.Netlist.node list ->
-  ?plan:Engine.Ac_plan.t array -> ?kernel:Engine.Kernel.t array ->
+  ?plan:Engine.Ac_plan.set -> ?kernel:Engine.Kernel.set ->
   Probe.t -> node_result list
 
-val shared_plan : options -> Probe.t -> Engine.Ac_plan.t array option
-(** The plan set a run mode would compile for these options, one plan
-    per block of the probe ({!Probe.plan}): [Some] exactly when the
+val shared_plan : options -> Probe.t -> Engine.Ac_plan.set option
+(** The plan set a run mode would use for these options, one cell per
+    block of the probe ({!Probe.plan}): [Some] exactly when the
     configured backend is plan-backed ([`Plan], [`Kernel], or [`Auto]
     above {!Engine.Ac_plan.dense_cutoff} unknowns of the whole system),
-    [None] on the dense paths. Compiling costs one symbolic analysis per
-    block; the set is valid for any sweep of the same prepared
+    [None] on the dense paths. Making it compiles nothing; each run
+    compiles the blocks it probes into it, one symbolic analysis per
+    block, and the set is valid for any sweep of the same prepared
     circuit. *)
 
 val shared_kernel :
-  options -> Engine.Ac_plan.t array option -> Engine.Kernel.t array option
-(** The kernels a run mode would compile from that plan set, one per
-    block plan: [Some] exactly when the configured backend is [`Kernel]
-    and a plan set exists. Compilation is cheap (array flattening, no
-    factorisation) and the kernels, like the plans, are valid for any
-    sweep of the same prepared circuit. *)
+  options -> Engine.Ac_plan.set option -> Engine.Kernel.set option
+(** The kernel set a run mode would use over that plan set, one cell
+    per block: [Some] exactly when the configured backend is [`Kernel]
+    and a plan set exists. Like the plan set it starts empty, and each
+    run compiles the kernels of the blocks it probes (cheap: array
+    flattening, no factorisation); the kernels, like the plans, are
+    valid for any sweep of the same prepared circuit. *)

@@ -43,7 +43,7 @@ let excitation size k =
   b
 
 let plan ?(gmin = 1e-12) t ~sweep =
-  Engine.Ac_plan.compile_blocks ~gmin
+  Engine.Ac_plan.on_demand ~gmin
     ~omega_ref:(Engine.Ac_plan.omega_ref (Sweep.points sweep))
     ~op:t.op ~blocks:t.blocks t.mna
 
@@ -80,8 +80,10 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
         (Printf.sprintf "Probe.response_many: %d %s for %d blocks" n what
            nblocks)
   in
-  Option.iter (fun p -> per_block "plans" (Array.length p)) shared;
-  Option.iter (fun k -> per_block "kernels" (Array.length k)) shared_kernel;
+  Option.iter (fun p -> per_block "plans" (Engine.Ac_plan.count p)) shared;
+  Option.iter
+    (fun k -> per_block "kernels" (Engine.Ac_plan.count (Engine.Kernel.plans k)))
+    shared_kernel;
   Option.iter (fun h -> per_block "health meters" (Array.length h)) health;
   let backend =
     match (backend, shared_kernel, shared) with
@@ -111,36 +113,29 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   let outs =
     Array.of_list (List.map (fun _ -> Array.make npts Cx.zero) indexed)
   in
-  (* One plan set — one symbolic analysis per block — per sweep, unless
-     the caller shares one across sweeps (the refinement pass re-probes
-     many zoom windows of one circuit: same pattern, same symbolic
-     analyses, zero recompilation). The plan and kernel backends fill
-     each block plan's O(nnz) skeleton instead of stamping a dense
-     matrix. *)
-  let plans =
+  (* One plan set per sweep, unless the caller shares one across sweeps
+     (the refinement pass re-probes many zoom windows of one circuit:
+     same pattern, same symbolic analyses, zero recompilation). The
+     plan and kernel backends fill each block plan's O(nnz) skeleton
+     instead of stamping a dense matrix. The kernel backend compiles
+     each block plan one step further: the frozen elimination schedule
+     flattened into a straight-line factor/solve program (cheap — no
+     factorisation — and cached by Tool.Cache when the pipeline drives
+     this). Both sets compile a block only when a sweep probes it. *)
+  let plans, kernels =
     match backend with
-    | `Dense -> None
-    | `Plan | `Kernel ->
-      (match shared with
-       | Some p -> Some p
-       | None ->
-         (match shared_kernel with
-          | Some _ when backend = `Kernel ->
-            (* The kernels carry their plans; no need for more. *)
-            None
-          | _ -> Some (plan ~gmin t ~sweep)))
-  in
-  (* The kernel backend compiles each block plan one step further: the
-     frozen elimination schedule flattened into a straight-line
-     factor/solve program (cheap — no factorisation — and
-     fingerprint-cached by Tool.Cache when the pipeline drives this). *)
-  let kernels =
-    match backend with
+    | `Dense -> (None, None)
+    | `Plan ->
+      (Some (match shared with Some p -> p | None -> plan ~gmin t ~sweep),
+       None)
     | `Kernel ->
-      (match shared_kernel with
-       | Some k -> Some k
-       | None -> Some (Array.map Engine.Kernel.compile (Option.get plans)))
-    | `Dense | `Plan -> None
+      let ks =
+        match (shared_kernel, shared) with
+        | Some k, _ -> k
+        | None, Some p -> Engine.Kernel.on_demand p
+        | None, None -> Engine.Kernel.on_demand (plan ~gmin t ~sweep)
+      in
+      (Some (Engine.Kernel.plans ks), Some ks)
   in
   (* The dense path stamps the pencil afresh at every point; the device
      linearisation behind it is done once per sweep. *)
@@ -186,6 +181,7 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
        chunk delays only its own participant. *)
     (match kernels with
      | Some ks ->
+       let k = Engine.Kernel.get ks b in
        (* Kernel execution is chunked: one workspace advances [chunk]
           consecutive points per invocation, so workspace setup
           amortises and the pool deals whole chunks. Chunk boundaries
@@ -195,7 +191,7 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
        let run_chunk ck =
          let lo = ck * cp in
          let hi = Int.min npts (lo + cp) in
-         let ws = Engine.Kernel.workspace ks.(b) ~rhs:bs in
+         let ws = Engine.Kernel.workspace k ~rhs:bs in
          Engine.Kernel.run ?health ws ~freqs ~lo ~hi ~sel ~outs:bouts
        in
        if go_parallel then Parallel.Pool.parallel_for ~n:nchunks run_chunk
@@ -208,11 +204,12 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
          let omega = 2. *. Float.pi *. freqs.(fk) in
          match plans with
          | Some ps ->
+           let p = Engine.Ac_plan.get ps b in
            (* One numeric refactorisation, then every probed net of the
               block as one multi-RHS batch against the same factor.
               Health recording happens inside [solve_many], sampled —
               the per-point body itself stays instrumentation-free. *)
-           let xs = Engine.Ac_plan.solve_many ?health ps.(b) ~omega bs in
+           let xs = Engine.Ac_plan.solve_many ?health p ~omega bs in
            Array.iteri (fun q i -> bouts.(q).(fk) <- xs.(q).(i)) sel
          | None ->
            let a =
@@ -238,6 +235,13 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
   Obs.Counter.incr sweeps_counter;
   Obs.Counter.add points_counter npts;
   let t0 = Obs.Span.enter () in
+  (* Every block this sweep probes and no earlier sweep compiled, from
+     one fold of the pencil. *)
+  Option.iter
+    (fun ps ->
+      Engine.Ac_plan.need ps
+        (List.filter (fun b -> groups.(b) <> []) (List.init nblocks Fun.id)))
+    plans;
   let probed = ref 0 and pooled = ref false in
   Array.iteri
     (fun b group ->

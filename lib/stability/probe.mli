@@ -14,10 +14,10 @@
     the diagonal block of the pencil's block-triangular form that holds k
     ({!Engine.Blocks}): the per-observation-node view. So every probe
     solves each net against its own block. {!prepare} finds the blocks
-    once; {!plan} compiles one {!Engine.Ac_plan} per block;
+    once; {!plan} makes the set of their {!Engine.Ac_plan}s, empty;
     {!response_many} sweeps each group of probed nets against its block
-    on every backend, dense included, and never factors a block it does
-    not probe. A one-block circuit (the op-amp, the RC ladder) runs the
+    on every backend, dense included, and never compiles or factors a
+    block it does not probe. A one-block circuit (the op-amp, the RC ladder) runs the
     whole system with the identity map, bit for bit as a whole-system
     solve. *)
 
@@ -45,13 +45,14 @@ val response :
 (** Driving-point transimpedance of one net across a sweep. *)
 
 val plan :
-  ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Engine.Ac_plan.t array
-(** Compile the probe's blocks into AC solve plans, one per block of
-    [t.blocks] and indexed like them, from one fold of the pencil, seeded
-    at the sweep's mid-band frequency. The set is valid for {e any}
-    sweep of the same circuit — hand it to several {!response_many}
-    calls (a coarse scan plus its zoom refinements) to pay for exactly
-    one symbolic analysis per block in total. *)
+  ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Engine.Ac_plan.set
+(** The probe's plan set, one cell per block of [t.blocks], seeded at
+    the sweep's mid-band frequency. It compiles nothing: each sweep
+    that probes a block compiles that block's plan, if no earlier sweep
+    has. The set is valid for {e any} sweep of the same circuit — hand
+    it to several {!response_many} calls (a coarse scan plus its zoom
+    refinements) to pay for exactly one symbolic analysis per probed
+    block in total. *)
 
 val auto_threshold : int
 (** Arithmetic volume (unknowns x points x probed nets of one block's
@@ -75,8 +76,8 @@ val auto_decision : unknowns:int -> points:int -> nets:int -> bool
 
 val response_many :
   ?gmin:float -> ?backend:[ `Dense | `Plan | `Kernel ] ->
-  ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.t array ->
-  ?kernel:Engine.Kernel.t array -> ?health:Engine.Health.meter array ->
+  ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.set ->
+  ?kernel:Engine.Kernel.set -> ?health:Engine.Health.meter array ->
   t -> sweep:Numerics.Sweep.t -> Circuit.Netlist.node list ->
   (Circuit.Netlist.node * Numerics.Waveform.Freq.t) list
 (** Shared-factorisation probing of many nets, block by block: the nets
@@ -84,22 +85,24 @@ val response_many :
     results come back in the order of [nodes].
 
     [`Plan] — the default above {!Engine.Ac_plan.dense_cutoff}
-    unknowns of the whole system — compiles the sweep once into one
-    {!Engine.Ac_plan} per block: one symbolic analysis per block, one
-    O(nnz) numeric fill and refactorisation per frequency point of each
-    probed block, and all of a block's probed nets solved as one
-    multi-RHS batch per point. [`Dense] (the default for tiny systems)
-    is the oracle path: a dense LU of the probed block at every point.
-    [`Kernel] compiles each block plan one step further into an
-    {!Engine.Kernel} — the flattened, allocation-free factor/solve
-    program — and advances the sweep in chunks of
-    {!Engine.Kernel.chunk} points per kernel invocation; its results
-    are bit-identical to [`Plan]. Passing [plan] (see {!val:plan})
-    skips compilation entirely and implies the [`Plan] backend unless
-    [backend] overrides it; passing [kernel] (one kernel per block
-    plan) likewise implies [`Kernel] and skips both compilations.
-    [plan], [kernel] and [health] must have one entry per block of
-    [t.blocks] ([Invalid_argument] otherwise).
+    unknowns of the whole system — sweeps each probed block through its
+    {!Engine.Ac_plan}: one symbolic analysis per block, one O(nnz)
+    numeric fill and refactorisation per frequency point of each probed
+    block, and all of a block's probed nets solved as one multi-RHS
+    batch per point. The plans of the probed blocks that the set does
+    not hold yet are compiled first, from one fold of the pencil.
+    [`Dense] (the default for tiny systems) is the oracle path: a dense
+    LU of the probed block at every point. [`Kernel] compiles each
+    probed block's plan one step further into an {!Engine.Kernel} — the
+    flattened, allocation-free factor/solve program — and advances the
+    sweep in chunks of {!Engine.Kernel.chunk} points per kernel
+    invocation; its results are bit-identical to [`Plan]. Passing
+    [plan] (see {!val:plan}) shares its compiled blocks, and fills it
+    with the ones this sweep adds, and implies the [`Plan] backend
+    unless [backend] overrides it; passing [kernel] likewise implies
+    [`Kernel] and shares its kernels and their plans. [plan], [kernel]
+    and [health] must have one entry per block of [t.blocks]
+    ([Invalid_argument] otherwise).
 
     [parallel] spreads each block's independent frequency points over
     the persistent {!Parallel.Pool} in chunks claimed from one shared

@@ -21,14 +21,23 @@ type loop = {
   probeable : string list;
 }
 
+type target =
+  | Absent
+  | Pinned of string option
+  | Unreachable
+  | Drivable
+
 type t = {
-  graph : Sfg.t;
+  nets : int;
+  edges : int;
+  pinned : string list;
   loops : loop list;
   truncated : bool;
   cover : string list;
   uncovered : loop list;
   undrivable : string list option;
   open_gain : string list;
+  stab_targets : (string * target) list;
 }
 
 let default_bounds = Cycles.default_bounds
@@ -189,6 +198,7 @@ let analyze ?(bounds = default_bounds) circ =
     Obs.Span.with_ "sfg.cover" (fun () -> greedy_cover loops)
   in
   let uncovered = List.filter (fun l -> l.probeable = []) loops in
+  let reach = Sfg.reachable_from_sources g in
   let undrivable =
     Option.map
       (fun reach ->
@@ -197,7 +207,20 @@ let analyze ?(bounds = default_bounds) circ =
           (fun v ok -> if not ok then acc := Sfg.net g v :: !acc)
           reach;
         List.sort compare !acc)
-      (Sfg.reachable_from_sources g)
+      reach
+  in
+  let stab_targets =
+    List.map
+      (fun n ->
+        ( n,
+          match Sfg.index g n with
+          | None -> Absent
+          | Some v when Sfg.is_pinned g v -> Pinned (Sfg.pinning_driver g v)
+          | Some v ->
+            (match reach with
+             | Some seen when not seen.(v) -> Unreachable
+             | _ -> Drivable) ))
+      (Sfg.stab_targets g)
   in
   let open_gain =
     let adj = Sfg.succ g in
@@ -214,4 +237,8 @@ let analyze ?(bounds = default_bounds) circ =
       (Sfg.edges g);
     List.filter (fun d -> not (Hashtbl.mem in_loop d)) (Sfg.gain_devices g)
   in
-  { graph = g; loops; truncated; cover; uncovered; undrivable; open_gain }
+  (* The graph itself is dropped here: a cached report keeps only what
+     its readers print. *)
+  { nets = Sfg.size g; edges = List.length (Sfg.edges g);
+    pinned = Sfg.pinned_nets g; loops; truncated; cover; uncovered;
+    undrivable; open_gain; stab_targets }

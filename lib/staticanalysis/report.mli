@@ -21,7 +21,13 @@
 
     Each pass is timed by an {!Obs.Span} ([sfg.build], [sfg.cycles],
     [sfg.cover]) and every graph construction bumps the [sfg.builds]
-    counter — the cache tests assert a warm repeat leaves it flat. *)
+    counter — the cache tests assert a warm repeat leaves it flat.
+
+    The report keeps what its readers print and nothing else: the
+    passes' results, the graph's net and edge counts and pinned nets
+    ([acstab loops]), and the verdict on each [.stab] target (the
+    [undrivable-probe] lint rule). The {!Sfg.t} they were read from is
+    not kept, so a cached report holds no graph. *)
 
 type loop_kind =
   | Global
@@ -41,8 +47,19 @@ type loop = {
   probeable : string list; (** non-pinned member nets, sorted *)
 }
 
+(** What the graph says about a net named by a [.stab] card. *)
+type target =
+  | Absent               (** no such net in the graph (ground included) *)
+  | Pinned of string option
+      (** voltage-pinned, by this driver ({!Sfg.pinning_driver}) *)
+  | Unreachable
+      (** no independent source reaches it (the deck has some) *)
+  | Drivable
+
 type t = {
-  graph : Sfg.t;
+  nets : int;                   (** vertices of the graph (non-ground nets) *)
+  edges : int;                  (** kept edges, after pinned-net pruning *)
+  pinned : string list;         (** {!Sfg.pinned_nets} *)
   loops : loop list;            (** gain order descending, then id *)
   truncated : bool;             (** a {!Cycles.bounds} bound was hit *)
   cover : string list;          (** greedy probe cover, selection order *)
@@ -54,6 +71,9 @@ type t = {
       (** devices with gain edges, none of which lies inside any
           strongly connected component — controlled sources outside
           every loop *)
+  stab_targets : (string * target) list;
+      (** the nets named by [.stab] cards, in deck order, each with its
+          verdict *)
 }
 
 val default_bounds : Cycles.bounds

@@ -17,13 +17,17 @@
                 default-config lint findings (filled on first need)
    - [op]     : prepared probes (MNA compile + DC operating point +
                 the pencil's blocks)
-   - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses, one per
-                block ([None] when the options select a dense backend)
-   - [kernel] : compiled {!Engine.Kernel} solve programs, one per block
-                ([None] unless the options select the kernel backend)
+   - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses, one cell
+                per block, holding the blocks some request has probed
+                and nothing for the rest ([None] when the options select
+                a dense backend)
+   - [kernel] : compiled {!Engine.Kernel} solve programs, likewise one
+                cell per block, probed blocks only ([None] unless the
+                options select the kernel backend)
    - [result] : full analysis outcomes (node results + run manifest),
-                each with its JSON text once the serve daemon first
-                answers from it
+                each with its JSON text from the first hit the serve
+                daemon answers from it (a miss renders and keeps
+                nothing: an all-miss campaign never reads it again)
    - [sfg]    : static signal-flow reports (loops + probe cover)
 
    Every family feeds always-on {!Obs.Counter}s ([cache.<family>.hits]
@@ -80,8 +84,8 @@ type t = {
   mutable tick : int;
   decks : deck_entry family;
   ops : Stability.Probe.t family;
-  plans : Engine.Ac_plan.t array option family;
-  kernels : Engine.Kernel.t array option family;
+  plans : Engine.Ac_plan.set option family;
+  kernels : Engine.Kernel.set option family;
   results : stored_result family;
   sfgs : Staticanalysis.Report.t family;
 }
@@ -174,9 +178,12 @@ let sfg c ~key compute = memo c c.sfgs ~key compute
 
 let renders = Obs.Counter.make "manifest.renders"
 
-(* Racing domains both render and store equal strings; the counter
+(* The miss that made an entry renders its answer and keeps nothing:
+   most entries of an all-miss campaign are never read again. The
+   first hit renders and stores, so only entries read twice keep text.
+   Racing domains both render and store equal strings; the counter
    then reads 2 for that entry, which is the only cost. *)
-let rendering stored =
+let rendering ~hit stored =
   match Atomic.get stored.rendered with
   | Some r -> r
   | None ->
@@ -184,7 +191,7 @@ let rendering stored =
     let doc = Manifest.json stored.entry.manifest in
     let nodes = Option.value ~default:(Json.Arr []) (Json.member "nodes" doc) in
     let r = { manifest_json = Json.to_string doc; nodes_json = Json.to_string nodes } in
-    Atomic.set stored.rendered (Some r);
+    if hit then Atomic.set stored.rendered (Some r);
     r
 
 let clear c =

@@ -14,18 +14,22 @@
     with their fingerprints and lint findings, prepared probes (MNA
     compile + DC operating point + the pencil's blocks), compiled
     {!Engine.Ac_plan} symbolic analyses and compiled {!Engine.Kernel}
-    solve programs (each entry one per block), complete result sets
-    with their run manifests, and static signal-flow reports
-    ({!Staticanalysis.Report.t}). A warm request therefore runs no
+    solve programs (each entry one cell per block, holding only the
+    blocks some request has probed), complete result sets with their
+    run manifests, and static signal-flow reports
+    ({!Staticanalysis.Report.t}, the loops and the facts its readers
+    print, not the graph). A warm request therefore runs no
     SHA-256, no parse, no lint pass and no graph build ([deck] hit;
     [deck.digests] stays flat), and a warm [result] hit costs zero DC
     solves and zero symbolic analyses — the serve smoke test asserts
     exactly that from the [sfg.builds] / [dcop.solves] /
     [acplan.symbolic] counters — and a warm [kernel] hit costs zero
-    kernel compiles ([kernel.compiles] stays flat). A [result] entry
-    also keeps its JSON text ({!rendering}), made once on first need,
-    so a warm serve hit encodes nothing either ([manifest.renders]
-    stays flat).
+    kernel compiles ([kernel.compiles] stays flat). A later request
+    that probes another block of a cached deck compiles that block
+    alone into the same entry. A [result] entry also keeps its JSON
+    text ({!rendering}) from its first hit on, so from the second hit
+    on a warm serve answer encodes nothing ([manifest.renders] stays
+    flat); the miss that made the entry keeps no text.
 
     Hit/miss/eviction telemetry flows through always-on
     {!Obs.Counter}s: [cache.deck.hits], [cache.deck.misses],
@@ -80,19 +84,22 @@ val op :
   Stability.Probe.t * bool
 
 val plan :
-  t -> key:string -> (unit -> Engine.Ac_plan.t array option) ->
-  Engine.Ac_plan.t array option * bool
-(** Plan sets, one plan per block of the prepared probe
-    ({!Stability.Analysis.shared_plan}). [None] is a cacheable answer:
-    it records "these options select the dense backend", sparing the
-    decision logic on the next request. *)
+  t -> key:string -> (unit -> Engine.Ac_plan.set option) ->
+  Engine.Ac_plan.set option * bool
+(** Plan sets, one cell per block of the prepared probe
+    ({!Stability.Analysis.shared_plan}). An entry starts empty, and the
+    requests that use it compile into it the blocks they probe, so it
+    holds the plans of probed blocks only. [None] is a cacheable
+    answer: it records "these options select the dense backend",
+    sparing the decision logic on the next request. *)
 
 val kernel :
-  t -> key:string -> (unit -> Engine.Kernel.t array option) ->
-  Engine.Kernel.t array option * bool
-(** Compiled kernel programs, one per block plan, keyed one step below
-    [plan] (same fingerprint plus the kernel tag); [None] records
-    "these options do not select the kernel backend". *)
+  t -> key:string -> (unit -> Engine.Kernel.set option) ->
+  Engine.Kernel.set option * bool
+(** Kernel sets over the [plan] entry's set, one cell per block and
+    filled the same way, keyed one step below [plan] (same fingerprint
+    plus the kernel tag); [None] records "these options do not select
+    the kernel backend". *)
 
 type rendering = {
   manifest_json : string;  (** [Json.to_string (Manifest.json manifest)] *)
@@ -102,19 +109,21 @@ type rendering = {
 type stored_result = {
   entry : result_entry;
   rendered : rendering option Atomic.t;
-      (** the entry's JSON text, [None] until {!rendering} first runs;
-          it lives in the entry's slot, so eviction drops it with the
-          entry *)
+      (** the entry's JSON text, [None] until {!rendering} first runs
+          for a hit; it lives in the entry's slot, so eviction drops it
+          with the entry *)
 }
 
 val result :
   t -> key:string -> (unit -> result_entry) -> stored_result * bool
 
-val rendering : stored_result -> rendering
-(** The entry's JSON text: rendered on the first call, from any domain,
-    and stored beside the entry, so later calls return the same strings
-    without encoding anything. Each rendering counts once in the
-    [manifest.renders] counter (two domains racing on a fresh entry may
+val rendering : hit:bool -> stored_result -> rendering
+(** The entry's JSON text. [hit] is the flag {!result} returned. The
+    miss that made the entry renders it and stores nothing; the first
+    hit renders it again and stores it beside the entry, from any
+    domain, so every later hit returns the same strings without
+    encoding anything. Each rendering counts once in the
+    [manifest.renders] counter (two domains racing on a first hit may
     both render, and store equal text). The serve daemon splices it into
     analyze answers ([Json.Rendered]); the CLI never asks, so it
     renders nothing. *)

@@ -23,11 +23,8 @@ let names = function [] -> "none" | l -> String.concat " " l
 let render ~deck (r : Staticanalysis.Report.t) =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let g = r.graph in
   pr "static signal-flow report: %s\n" deck;
-  pr "nets: %d  edges: %d  pinned: %s\n" (Staticanalysis.Sfg.size g)
-    (List.length (Staticanalysis.Sfg.edges g))
-    (names (Staticanalysis.Sfg.pinned_nets g));
+  pr "nets: %d  edges: %d  pinned: %s\n" r.nets r.edges (names r.pinned);
   pr "loops: %d%s\n" (List.length r.loops)
     (if r.truncated then "  (truncated: enumeration bounds hit)" else "");
   List.iteri
@@ -49,7 +46,6 @@ let render ~deck (r : Staticanalysis.Report.t) =
   Buffer.contents buf
 
 let json ~deck ~sha256 (r : Staticanalysis.Report.t) =
-  let g = r.graph in
   let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
   let loop (l : Staticanalysis.Report.loop) =
     Json.Obj
@@ -68,10 +64,9 @@ let json ~deck ~sha256 (r : Staticanalysis.Report.t) =
     [ ("schema", Json.Str schema_version);
       ("deck",
        Json.Obj [ ("file", Json.Str deck); ("sha256", Json.Str sha256) ]);
-      ("nets", Json.Num (float_of_int (Staticanalysis.Sfg.size g)));
-      ("edges",
-       Json.Num (float_of_int (List.length (Staticanalysis.Sfg.edges g))));
-      ("pinned", strs (Staticanalysis.Sfg.pinned_nets g));
+      ("nets", Json.Num (float_of_int r.nets));
+      ("edges", Json.Num (float_of_int r.edges));
+      ("pinned", strs r.pinned);
       ("truncated", Json.Bool r.truncated);
       ("loops", Json.Arr (List.map loop r.loops));
       ("cover", strs r.cover);

@@ -16,16 +16,17 @@
    computed once per entry; it re-applies the gate to the findings on
    every request. Every other family is keyed by that fingerprint, the
    origin and the options in force: [analyze] keeps the prepared probe
-   (DC operating point and the pencil's blocks), the compiled plans
-   (one symbolic analysis per block), the kernels and the complete
-   result set with its manifest.
+   (DC operating point and the pencil's blocks), the plans (one
+   symbolic analysis per probed block, compiled when a request first
+   probes it), the kernels and the complete result set with its
+   manifest.
    A warm repeat of the same request performs no digest, no parse, no
    lint pass, no graph build, zero DC solves and zero symbolic analyses
    ([deck.digests] counts the digests); a request that only changes the
    sweep or the probed nodes still reuses the operating point and the
    plan. The outcome hands the daemon the result entry itself, so its
-   answer text is rendered once per entry ({!Cache.rendering}) rather
-   than once per answer. *)
+   answer text is stored from the entry's first hit
+   ({!Cache.rendering}) rather than rendered once per answer. *)
 
 type deck =
   | Deck_file of string

@@ -19,17 +19,18 @@
     other family is keyed by the fingerprint, the origin (an in-memory
     design has one of its own) and the options in force; results add
     the name the manifest records. [analyze] keeps the prepared probe
-    (MNA + DC operating point + the pencil's blocks), the compiled
-    {!Engine.Ac_plan} set (one symbolic analysis per block), the
-    compiled kernels and the complete result set with its run manifest;
+    (MNA + DC operating point + the pencil's blocks), the
+    {!Engine.Ac_plan} set (one symbolic analysis per probed block,
+    compiled when a request first probes it), the kernels likewise and
+    the complete result set with its run manifest;
     the static signal-flow report has a family of its own. A warm
     repeat of an identical request runs no digest, no parse, no lint
     pass, no graph build, no DC solve and no symbolic analysis; a
     request that changes only the sweep or the probed nodes still
     reuses the operating point and the plan. Each {!outcome} carries
     the result entry it came from ([stored]), whose JSON text
-    {!Cache.rendering} renders once per entry: the serve daemon answers
-    with it, and the CLI never asks for it. *)
+    {!Cache.rendering} stores from the entry's first hit: the serve
+    daemon answers with it, and the CLI never asks for it. *)
 
 type deck =
   | Deck_file of string                 (** parse a netlist file *)
@@ -144,8 +145,9 @@ type outcome = {
   cache : [ `Hit | `Miss ];
   stored : Cache.stored_result;
       (** the [result] cache entry [results] and [manifest] come from;
-          {!Cache.rendering} of it is the manifest's JSON text, rendered
-          once per entry — what the serve daemon answers with *)
+          {!Cache.rendering} of it is the manifest's JSON text, stored
+          from the entry's first hit — what the serve daemon answers
+          with *)
 }
 
 val analyze :

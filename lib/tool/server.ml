@@ -10,9 +10,10 @@
    the options actually changed; an unchanged request is answered from
    the cache without touching the parser, the linter or the engine, and
    without re-encoding its manifest: the answer splices the JSON text
-   the result entry keeps ({!Cache.rendering}), and each answer line is
-   rendered in one buffer and written from a byte array the loop keeps,
-   so an answer allocates no string of its own.
+   the result entry keeps from its first hit on ({!Cache.rendering}),
+   and each answer line is rendered in one buffer and written from a
+   byte array the loop keeps, so an answer allocates no string of its
+   own.
 
    Concurrency: the accept/read side is a single [select] loop (no
    thread juggling, deterministic shutdown), and each batch of complete
@@ -181,9 +182,12 @@ let handle_analyze cache ?id v =
        (match Pipeline.run ~cache req with
         | Error failure -> failure_response ?id ~file failure
         | Ok o ->
-          (* The entry's stored text: a hit encodes nothing, a miss
-             renders its new entry once. *)
-          let text = Cache.rendering o.Pipeline.stored in
+          (* The entry's text: a miss renders it and keeps nothing,
+             the first hit renders and stores it, later hits encode
+             nothing. *)
+          let text =
+            Cache.rendering ~hit:(o.Pipeline.cache = `Hit) o.Pipeline.stored
+          in
           respond_fields ?id
             [ ("ok", Json.Bool true);
               ("cache",

@@ -16,10 +16,11 @@
     carrying the client's [id] when one can be salvaged from the
     broken text.
 
-    An analyze answer splices the result entry's stored JSON text
-    ({!Cache.rendering}, through [Json.Rendered]): a cache hit encodes
-    no manifest, and its line equals the cold miss's line but for the
-    request id and the verdict.
+    An analyze answer splices the result entry's JSON text
+    ({!Cache.rendering}, through [Json.Rendered]). The miss renders it
+    without keeping it, the first hit renders and stores it, and every
+    later hit encodes no manifest; each line equals the cold miss's
+    line but for the request id and the verdict.
 
     Every response additionally carries a daemon-unique [request_id],
     which also keys the per-request line in the structured event log

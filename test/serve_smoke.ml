@@ -1,12 +1,13 @@
 (* @serve-smoke — end-to-end exercise of the `acstab serve` daemon.
 
    Starts the daemon on a private socket, then over the wire: a cold
-   all-nodes request whose manifest is rendered once, a warm repeat
-   that must be answered from the cache with a byte-identical answer
-   line (request id and cache verdict aside, both lines canonical
-   JSON), one deck-family hit and zero extra deck digests / graph
-   builds / DC solves / symbolic analyses / manifest renderings (the
-   cold request computes one digest; asserted from the Obs
+   all-nodes request whose manifest is rendered once and not kept, a
+   warm repeat that must be answered from the cache with a
+   byte-identical answer line (request id and cache verdict aside, both
+   lines canonical JSON), one deck-family hit and zero extra deck
+   digests / graph builds / DC solves / symbolic analyses, rendering
+   its manifest once to keep it, and a second warm repeat that renders
+   nothing (the cold request computes one digest; asserted from the Obs
    counters via the protocol's own `counters` command), the
    lint gate re-applied to memoized findings, four concurrent
    in-flight requests on four connections, and a clean shutdown that
@@ -90,7 +91,7 @@ let () =
   in
 
   (* Cold request: a miss that does real work and renders its manifest
-     once. *)
+     once, keeping none of the text. *)
   let all_nodes =
     Tool.Json.Obj (("mode", Tool.Json.Str "all-nodes") :: analyze_fields)
   in
@@ -108,9 +109,10 @@ let () =
     fail "cold request computed %d deck digests, wanted 1"
       (digests1 - digests0);
 
-  (* Warm repeat: a hit, zero re-solves, no rendering, and the deck
-     itself served from the deck family — no digest, no parse, no lint
-     pass, no graph build. *)
+  (* Warm repeat: a hit, zero re-solves, and the deck itself served
+     from the deck family — no digest, no parse, no lint pass, no graph
+     build. The first hit renders the manifest once, because the miss
+     kept no text, and stores it. *)
   let dc0 = counter c "dcop.solves"
   and sym0 = counter c "acplan.symbolic"
   and sfg0 = counter c "sfg.builds"
@@ -134,8 +136,17 @@ let () =
     fail "warm request rebuilt the signal-flow graph (%d -> %d)" sfg0 sfg1;
   if deck1 <> deck0 + 1 then
     fail "warm request made %d deck-family hits, wanted 1" (deck1 - deck0);
-  if renders2 <> renders1 then
-    fail "warm request re-rendered its manifest (%d -> %d)" renders1 renders2;
+  if renders2 <> renders1 + 1 then
+    fail "first warm request rendered its manifest %d times, wanted 1"
+      (renders2 - renders1);
+  (* Second warm repeat: it splices the text the first hit stored. *)
+  let warm2_line, warm2 = request_line all_nodes in
+  expect_ok warm2;
+  expect_cache "hit" warm2;
+  let renders3 = counter c "manifest.renders" in
+  if renders3 <> renders2 then
+    fail "second warm request re-rendered its manifest (%d -> %d)" renders2
+      renders3;
   (* The answer bytes: each line is canonical JSON (what [to_string]
      prints for its own parse), and the warm line is the cold line but
      for the request id and the verdict. *)
@@ -143,7 +154,8 @@ let () =
     (fun (what, line, j) ->
       if Tool.Json.to_string j <> line then
         fail "%s answer line is not canonical JSON: %s" what line)
-    [ ("cold", cold_line, cold); ("warm", warm_line, warm) ];
+    [ ("cold", cold_line, cold); ("warm", warm_line, warm);
+      ("second warm", warm2_line, warm2) ];
   let blanked = function
     | Tool.Json.Obj fields ->
       Tool.Json.to_string
@@ -157,6 +169,9 @@ let () =
   in
   if blanked cold <> blanked warm then
     fail "warm answer line differs from cold:\n%s\n%s" cold_line warm_line;
+  if blanked cold <> blanked warm2 then
+    fail "second warm answer line differs from cold:\n%s\n%s" cold_line
+      warm2_line;
 
   (* Four concurrent in-flight requests on four connections: all sent
      before any response is read, so the daemon holds (at least) four
@@ -450,7 +465,8 @@ let () =
     "serve-smoke: OK (cold miss rendered once with 1 deck digest, warm \
      hit's answer line byte-identical and canonical with 1 deck hit, 0 \
      deck digests, 0 graph builds, 0 DC \
-     re-solves, 0 symbolic re-analyses and 0 renderings, \
+     re-solves, 0 symbolic re-analyses and 1 rendering stored, a \
+     second hit with 0 renderings, \
      lint gate on memoized findings, 4 concurrent in-flight \
      requests, loops cold/warm with 0 graph rebuilds, nodes=auto cover \
      run, kernel backend cold/warm with 0 recompiles and plan-identical \

@@ -510,6 +510,84 @@ let test_loop_no_compensation () =
   Alcotest.(check bool) "compensated ring passes" false
     (has_id "loop-no-compensation" comp)
 
+(* The rule as it stood when it tested each loop net against a list of
+   every capacitor net: quadratic on long chains, kept as the oracle for
+   the hashed rule, whose findings must be identical. *)
+let loop_no_compensation_oracle (ctx : Lint.Rule.ctx) =
+  let report = Lazy.force ctx.static in
+  let canon n = if Netlist.is_ground n then Netlist.ground else n in
+  let cap_nets =
+    List.concat_map
+      (fun d ->
+        match d with
+        | Netlist.Capacitor { n1; n2; _ } -> [ canon n1; canon n2 ]
+        | _ -> [])
+      (Netlist.devices ctx.circ)
+  in
+  List.filter_map
+    (fun (l : Staticanalysis.Report.loop) ->
+      match l.kind with
+      | Staticanalysis.Report.Local _ -> None
+      | Staticanalysis.Report.Global ->
+        if List.exists (fun n -> List.mem n cap_nets) l.nets then None
+        else
+          Some
+            (Lint.Rule.finding ~nets:l.nets ~devices:l.devices
+               ~id:"loop-no-compensation" Lint.Rule.Warning
+               (Printf.sprintf
+                  "global feedback loop %s has no capacitor on any member \
+                   net: no compensation shapes its response"
+                  l.id)))
+    report.loops
+
+(* Shipped decks, and amp_array chains of 1 to 50 stages as built (every
+   loop compensated), with every capacitor swapped for a resistor (every
+   loop bare) and with only the odd stages' swapped (both kinds). *)
+let test_loop_no_compensation_oracle () =
+  let rule = Option.get (Lint.Rules.find "loop-no-compensation") in
+  let check name circ =
+    let ctx = Lint.Rule.make_ctx circ in
+    let expected = loop_no_compensation_oracle ctx in
+    Alcotest.(check bool) (name ^ ": findings as the list rule's") true
+      (rule.Lint.Rule.check ctx = expected);
+    List.length expected
+  in
+  let flagged = ref 0 in
+  List.iter
+    (fun name ->
+      ignore
+        (check name (Parser.parse_file (Filename.concat "../circuits" name))))
+    shipped;
+  List.iter
+    (fun (name, circ) -> ignore (check name circ))
+    [ ("opamp", Workloads.Opamp_2mhz.buffer ());
+      ("bias", Workloads.Bias_zero_tc.cell ());
+      ("nmc", Workloads.Nmc_amp.buffer ());
+      ("ring", parse resistive_ring) ];
+  let bare keep circ =
+    Netlist.map_devices
+      (function
+        | Netlist.Capacitor { name; n1; n2; c; _ } when not (keep name) ->
+          Netlist.Resistor { name = "R" ^ name; n1; n2; r = 1. /. c; tc1 = 0.; tc2 = 0. }
+        | d -> d)
+      circ
+  in
+  let odd name =
+    match String.rindex_opt name '_' with
+    | Some i ->
+      int_of_string (String.sub name (i + 1) (String.length name - i - 1))
+      mod 2 = 1
+    | None -> false
+  in
+  for stages = 1 to 50 do
+    let circ = Workloads.Synth.amp_array ~stages () in
+    let label what = Printf.sprintf "amp_array %d %s" stages what in
+    Alcotest.(check int) (label "as built") 0 (check (label "as built") circ);
+    flagged := !flagged + check (label "bare") (bare (fun _ -> false) circ);
+    ignore (check (label "odd stages bare") (bare (fun n -> not (odd n)) circ))
+  done;
+  Alcotest.(check bool) "bare chains flag their loops" true (!flagged > 0)
+
 let test_gain_outside_loop () =
   let findings =
     Lint.Runner.run
@@ -623,6 +701,8 @@ let () =
       ( "graph rules",
         [ Alcotest.test_case "loop-no-compensation" `Quick
             test_loop_no_compensation;
+          Alcotest.test_case "loop-no-compensation = list oracle" `Quick
+            test_loop_no_compensation_oracle;
           Alcotest.test_case "gain-outside-loop" `Quick
             test_gain_outside_loop;
           Alcotest.test_case "loop-through-suspect" `Quick

@@ -470,7 +470,10 @@ let test_fill_bounds () =
       let probe = Stability.Probe.prepare circ in
       match Stability.Analysis.shared_plan Stability.Analysis.default_options probe with
       | None -> Alcotest.failf "%s: no plan" name
-      | Some plans ->
+      | Some set ->
+        let blocks = List.init (Engine.Ac_plan.count set) Fun.id in
+        Engine.Ac_plan.need set blocks;
+        let plans = Array.of_list (List.map (Engine.Ac_plan.get set) blocks) in
         let count = Array.fold_left (fun acc c -> acc + Array.length c) 0 in
         let fill_of plan =
           let sch = Scmat.schedule_of (Engine.Ac_plan.symbolic plan) in
@@ -858,6 +861,178 @@ let test_parabolic_collinear_fallback () =
   check_close "collinear x" 2. xv';
   check_close "collinear y" 20. yv'
 
+(* [Peak.find] as it stood when its prominence walk boxed a [Some] per
+   step and every local extremum was refined before the prominence
+   filter: kept as the oracle the allocation-light version must match
+   bit for bit. *)
+module Peak_oracle = struct
+  let refined x y i =
+    let lx k = log x.(k) in
+    let xv, yv =
+      Peak.refine_parabolic ~x0:(lx (i - 1)) ~y0:y.(i - 1) ~x1:(lx i)
+        ~y1:y.(i) ~x2:(lx (i + 1)) ~y2:y.(i + 1)
+    in
+    let quality =
+      Peak.refine_quality ~x0:(lx (i - 1)) ~y0:y.(i - 1) ~x1:(lx i)
+        ~y1:y.(i) ~x2:(lx (i + 1)) ~y2:y.(i + 1)
+    in
+    (exp xv, yv, x.(i + 1) /. x.(i - 1), quality)
+
+  let prominence_of y i kind =
+    let n = Array.length y in
+    let better a b =
+      match kind with Peak.Minimum -> a < b | Peak.Maximum -> a > b
+    in
+    let walk step =
+      let rec go k saddle =
+        if k < 0 || k >= n then saddle
+        else if better y.(k) y.(i) then saddle
+        else
+          let saddle =
+            match saddle with
+            | Some s when better y.(k) s -> saddle
+            | _ -> Some y.(k)
+          in
+          go (k + step) saddle
+      in
+      go (i + step) None
+    in
+    let barrier =
+      match (walk (-1), walk 1) with
+      | Some l, Some r -> Some (if better l r then l else r)
+      | Some l, None -> Some l
+      | None, Some r -> Some r
+      | None, None -> None
+    in
+    match barrier with
+    | Some b -> Float.abs (b -. y.(i))
+    | None -> Float.infinity
+
+  let find ?(min_prominence = 0.) ~x ~y () =
+    let n = Array.length x in
+    if n < 3 then []
+    else begin
+      let out = ref [] in
+      let emit kind i at_edge =
+        let xr, yr, bracket_ratio, curvature =
+          if at_edge || i = 0 || i = n - 1 then (x.(i), y.(i), 1., 0.)
+          else refined x y i
+        in
+        if prominence_of y i kind >= min_prominence then
+          out :=
+            { Peak.kind; index = i; x = xr; y = yr; at_edge; bracket_ratio;
+              curvature }
+            :: !out
+      in
+      let i = ref 1 in
+      while !i < n - 1 do
+        let j = ref !i in
+        while !j < n - 1 && y.(!j + 1) = y.(!i) do incr j done;
+        let left = y.(!i - 1) and here = y.(!i)
+        and right = y.(Int.min (n - 1) (!j + 1)) in
+        let centre = (!i + !j) / 2 in
+        if here < left && here < right then emit Peak.Minimum centre false
+        else if here > left && here > right then emit Peak.Maximum centre false;
+        i := !j + 1
+      done;
+      let first_differing start step =
+        let rec go k =
+          if k < 0 || k >= n then None
+          else if y.(k) <> y.(start) then Some y.(k)
+          else go (k + step)
+        in
+        go (start + step)
+      in
+      (match first_differing 0 1 with
+       | Some inner when y.(0) < inner -> emit Peak.Minimum 0 true
+       | Some inner when y.(0) > inner -> emit Peak.Maximum 0 true
+       | _ -> ());
+      (match first_differing (n - 1) (-1) with
+       | Some inner when y.(n - 1) < inner -> emit Peak.Minimum (n - 1) true
+       | Some inner when y.(n - 1) > inner -> emit Peak.Maximum (n - 1) true
+       | _ -> ());
+      List.sort (fun (a : Peak.t) b -> compare a.x b.x) !out
+    end
+end
+
+let same_peaks (a : Peak.t list) (b : Peak.t list) =
+  let bits = Int64.bits_of_float in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (p : Peak.t) (q : Peak.t) ->
+         p.kind = q.kind && p.index = q.index && p.at_edge = q.at_edge
+         && bits p.x = bits q.x && bits p.y = bits q.y
+         && bits p.bracket_ratio = bits q.bracket_ratio
+         && bits p.curvature = bits q.curvature)
+       a b
+
+(* Random curves with plateaus (values drawn from a few levels), runs at
+   both ends and extrema on the edges, under several prominence
+   floors. *)
+let prop_peak_find_oracle =
+  QCheck.Test.make ~name:"Peak.find = its boxing oracle, bit for bit"
+    ~count:500
+    QCheck.(pair (int_range 0 80) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed; n |] in
+      let levels = 1 + Random.State.int st 6 in
+      let y =
+        Array.init n (fun _ ->
+            if Random.State.bool st then
+              float_of_int (Random.State.int st levels) -. 2.
+            else Random.State.float st 6. -. 3.)
+      in
+      let x = Array.init n (fun k -> 1e3 *. (1.05 ** float_of_int k)) in
+      List.for_all
+        (fun min_prominence ->
+          same_peaks
+            (Peak.find ~min_prominence ~x ~y ())
+            (Peak_oracle.find ~min_prominence ~x ~y ()))
+        [ 0.; 0.05; 0.1; 0.5; 1.; 2.5 ])
+
+(* The op-amp's coarse stability plots and one zoom window around the
+   output's peak (363 points), as the analysis filters them; the zoom
+   window's search allocates a bounded number of words (it allocated
+   about 10 000 when every ripple was refined and each step of the
+   prominence walk boxed its saddle). *)
+let test_peak_find_stability_plots () =
+  let circ = Workloads.Opamp_2mhz.buffer () in
+  let probe = Stability.Probe.prepare circ in
+  let coarse = Sweep.decade 1e3 1e9 30 in
+  let nodes = Circuit.Netlist.node_names circ in
+  List.iter
+    (fun (net, w) ->
+      let plot = Stability.Stability_plot.of_response w in
+      List.iter
+        (fun min_prominence ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s coarse, floor %g" net min_prominence)
+            true
+            (same_peaks
+               (Peak.find ~min_prominence ~x:plot.freqs ~y:plot.p ())
+               (Peak_oracle.find ~min_prominence ~x:plot.freqs ~y:plot.p ())))
+        [ 0.; 0.1 ])
+    (Stability.Probe.response_many probe ~sweep:coarse nodes);
+  let zoom = Sweep.decade 1.6e6 6.4e6 600 in
+  let plot =
+    Stability.Stability_plot.of_response
+      (Stability.Probe.response probe ~sweep:zoom "out")
+  in
+  let x = plot.freqs and y = plot.p in
+  Alcotest.(check bool) "zoom window, floor 0.05" true
+    (same_peaks
+       (Peak.find ~min_prominence:0.05 ~x ~y ())
+       (Peak_oracle.find ~min_prominence:0.05 ~x ~y ()));
+  ignore (Peak.find ~min_prominence:0.05 ~x ~y ());
+  let w0 = Gc.minor_words () in
+  let peaks = Peak.find ~min_prominence:0.05 ~x ~y () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "the zoom window keeps its peak" true (peaks <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "zoom window search allocated %.0f words, at most 600"
+       words)
+    true (words <= 600.)
+
 (* ---------- eigenvalues ---------- *)
 
 let test_eigen_known () =
@@ -1110,7 +1285,10 @@ let () =
          Alcotest.test_case "parabolic refine" `Quick test_parabolic_refine;
          Alcotest.test_case "vertex clamp" `Quick test_parabolic_vertex_clamp;
          Alcotest.test_case "collinear fallback" `Quick
-           test_parabolic_collinear_fallback ]);
+           test_parabolic_collinear_fallback;
+         Alcotest.test_case "stability plots = oracle, bounded allocation"
+           `Quick test_peak_find_stability_plots ]);
+      qsuite "peak-props" [ prop_peak_find_oracle ];
       ("eigen",
        [ Alcotest.test_case "known spectrum" `Quick test_eigen_known;
          Alcotest.test_case "triangular" `Quick test_eigen_triangular;

@@ -806,9 +806,8 @@ let test_kernel_counter_budget () =
      && after.Engine.Kernel.batch_max > 0);
   (* Warm path: a caller holding a compiled kernel pays zero compiles,
      and the answers are the ones the cold path produced. *)
-  let kerns =
-    Array.map Engine.Kernel.compile (Stability.Probe.plan probe ~sweep)
-  in
+  let kerns = Engine.Kernel.on_demand (Stability.Probe.plan probe ~sweep) in
+  ignore (Engine.Kernel.get kerns 0);
   let base = (Engine.Kernel.totals ()).Engine.Kernel.compiles in
   let shared =
     Stability.Probe.response_many ~kernel:kerns probe ~sweep nodes
@@ -848,9 +847,10 @@ let test_kernel_sweep_allocation () =
   in
   let outs = Array.map (fun _ -> Array.make npts Numerics.Cx.zero) sel in
   let kern =
-    match Stability.Probe.plan probe ~sweep with
-    | [| plan |] -> Engine.Kernel.compile plan
-    | plans -> Alcotest.failf "op-amp in %d blocks" (Array.length plans)
+    let plans = Stability.Probe.plan probe ~sweep in
+    match Engine.Ac_plan.count plans with
+    | 1 -> Engine.Kernel.compile (Engine.Ac_plan.get plans 0)
+    | n -> Alcotest.failf "op-amp in %d blocks" n
   in
   let ws = Engine.Kernel.workspace kern ~rhs in
   let sweep_once () =
@@ -1104,8 +1104,10 @@ let test_block_partition () =
         [ probe.Stability.Probe.mna.Engine.Mna.size ]
         (block_sizes circ);
       let sweep = Numerics.Sweep.decade 1e3 1e9 10 in
-      match Stability.Probe.plan probe ~sweep with
-      | [| plan |] ->
+      let plans = Stability.Probe.plan probe ~sweep in
+      match Engine.Ac_plan.count plans with
+      | 1 ->
+        let plan = Engine.Ac_plan.get plans 0 in
         let whole =
           Engine.Ac_plan.compile
             ~omega_ref:(Engine.Ac_plan.omega_ref (Numerics.Sweep.points sweep))
@@ -1115,7 +1117,7 @@ let test_block_partition () =
           (name ^ ": block plan = whole-system plan")
           true
           (Engine.Ac_plan.skeleton plan = Engine.Ac_plan.skeleton whole)
-      | plans -> Alcotest.failf "%s: %d plans" name (Array.length plans))
+      | n -> Alcotest.failf "%s: %d plans" name n)
     [ ("op-amp", Workloads.Opamp_2mhz.buffer ());
       ("rc_ladder_20", Workloads.Ladder.rc ~sections:20 ());
       ("bias cell", Workloads.Bias_zero_tc.cell ()) ];

@@ -451,6 +451,63 @@ let test_undrivable_island () =
   Alcotest.(check (list string)) "the island VCCS runs open-loop" [ "G1" ]
     r.open_gain
 
+(* The report keeps, instead of its graph, what [acstab loops] and the
+   [undrivable-probe] rule read from it: equal to what the graph says, on
+   the shipped decks and on .stab targets that are missing, ground,
+   pinned, unreachable and drivable. *)
+let test_report_keeps_graph_facts () =
+  let decks =
+    List.map
+      (fun name ->
+        (name, Circuit.Parser.parse_file (Filename.concat "../circuits" name)))
+      shipped
+    @ [ ("stab cards",
+         parse
+           "s\nVIN in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n\
+            G1 x 0 y 0 1m\nR2 y 0 1k\nR3 x 0 1k\n\
+            .stab bogus\n.stab 0\n.stab in\n.stab x\n.stab out\n.end\n");
+        ("island", parse island_deck) ]
+  in
+  List.iter
+    (fun (name, circ) ->
+      let r = Staticanalysis.Report.analyze circ in
+      let g = Staticanalysis.Sfg.build circ in
+      Alcotest.(check int) (name ^ ": nets") (Staticanalysis.Sfg.size g) r.nets;
+      Alcotest.(check int) (name ^ ": edges")
+        (List.length (Staticanalysis.Sfg.edges g)) r.edges;
+      Alcotest.(check (list string)) (name ^ ": pinned")
+        (Staticanalysis.Sfg.pinned_nets g) r.pinned;
+      let reach = Staticanalysis.Sfg.reachable_from_sources g in
+      let expected =
+        List.map
+          (fun n ->
+            ( n,
+              match Staticanalysis.Sfg.index g n with
+              | None -> Staticanalysis.Report.Absent
+              | Some v when Staticanalysis.Sfg.is_pinned g v ->
+                Staticanalysis.Report.Pinned
+                  (Staticanalysis.Sfg.pinning_driver g v)
+              | Some v ->
+                (match reach with
+                 | Some seen when not seen.(v) ->
+                   Staticanalysis.Report.Unreachable
+                 | _ -> Staticanalysis.Report.Drivable) ))
+          (Staticanalysis.Sfg.stab_targets g)
+      in
+      Alcotest.(check bool) (name ^ ": .stab verdicts") true
+        (expected = r.stab_targets))
+    decks;
+  let r =
+    Staticanalysis.Report.analyze (List.assoc "stab cards" decks)
+  in
+  Alcotest.(check bool) "each verdict once" true
+    (r.stab_targets
+     = [ ("bogus", Staticanalysis.Report.Absent);
+         ("0", Staticanalysis.Report.Absent);
+         ("in", Staticanalysis.Report.Pinned (Some "VIN"));
+         ("x", Staticanalysis.Report.Unreachable);
+         ("out", Staticanalysis.Report.Drivable) ])
+
 (* ---------- pipeline: sfg cache family ---------- *)
 
 let load_deck file =
@@ -688,7 +745,9 @@ let () =
           Alcotest.test_case "follower and tanks" `Quick
             test_follower_and_tank;
           Alcotest.test_case "undrivable island" `Quick
-            test_undrivable_island ] );
+            test_undrivable_island;
+          Alcotest.test_case "graph facts kept" `Quick
+            test_report_keeps_graph_facts ] );
       ( "pipeline",
         [ Alcotest.test_case "warm repeat rebuilds nothing" `Quick
             test_static_report_warm;

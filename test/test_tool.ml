@@ -1615,6 +1615,174 @@ let test_manifest_load_errors () =
        (Tool.Manifest.of_json_string
           (replace_once json "\"quality\":\"good\"" "\"quality\":\"amazing\"")))
 
+(* ---------- plans compiled on demand ---------- *)
+
+(* The six-stage chain splits into one strongly connected block per
+   stage plus the input's: seven blocks, of which a single-node request
+   probes one. *)
+let chain6_text =
+  Circuit.Netlist.to_spice (Workloads.Synth.amp_array ~stages:6 ())
+
+let chain6_run ?(options = Stability.Analysis.default_options) ~cache
+    analysis =
+  match
+    Tool.Pipeline.run ~cache
+      (Tool.Pipeline.request ~options
+         (Tool.Pipeline.Deck_text
+            { name = "amp_array_6.sp"; text = chain6_text })
+         analysis)
+  with
+  | Ok o -> o
+  | Error f -> Alcotest.failf "chain run: %s" (Tool.Pipeline.failure_message f)
+
+let delta name f =
+  let before = counter_value name in
+  let v = f () in
+  (v, counter_value name - before)
+
+(* A request compiles the plan of each block it probes and no other; a
+   later request on the cached deck compiles only the blocks it adds,
+   and one whose blocks are all compiled compiles nothing. *)
+let test_plans_compile_on_demand () =
+  let cache = Tool.Cache.create () in
+  let single n = Tool.Pipeline.Single_node n in
+  let _, sym = delta "acplan.symbolic" (fun () -> chain6_run ~cache (single "fb_5")) in
+  Alcotest.(check int) "fb_5 compiles its block alone" 1 sym;
+  let _, sym = delta "acplan.symbolic" (fun () -> chain6_run ~cache (single "fb_2")) in
+  Alcotest.(check int) "a later fb_2 compiles one more block" 1 sym;
+  let o, sym = delta "acplan.symbolic" (fun () -> chain6_run ~cache (single "x3_2")) in
+  Alcotest.(check bool) "another net of fb_2's block misses the result family"
+    true (o.Tool.Pipeline.cache = `Miss);
+  Alcotest.(check int) "and compiles nothing" 0 sym;
+  (* All nodes, cold: one symbolic analysis per block that holds a net. *)
+  let probe =
+    Stability.Probe.prepare
+      (Circuit.Parser.parse_string ~name:"amp_array_6.sp" chain6_text)
+  in
+  let holding =
+    Circuit.Topology.nodes probe.Stability.Probe.mna.Engine.Mna.topo
+    |> Array.to_list
+    |> List.map (Stability.Probe.block_of probe)
+    |> List.sort_uniq compare
+  in
+  let _, sym =
+    delta "acplan.symbolic" (fun () ->
+        chain6_run ~cache:(Tool.Cache.create ()) (Tool.Pipeline.All_nodes None))
+  in
+  Alcotest.(check int) "all-nodes: one per block holding a net"
+    (List.length holding) sym;
+  (* The kernel backend compiles one kernel for one probed block. *)
+  let options =
+    { Stability.Analysis.default_options with backend = `Kernel }
+  in
+  let cache = Tool.Cache.create () in
+  let (_, sym), compiles =
+    delta "kernel.compiles" (fun () ->
+        delta "acplan.symbolic" (fun () ->
+            chain6_run ~options ~cache (single "fb_5")))
+  in
+  Alcotest.(check int) "kernel: fb_5 compiles one plan" 1 sym;
+  Alcotest.(check int) "kernel: fb_5 compiles one kernel" 1 compiles;
+  let _, compiles =
+    delta "kernel.compiles" (fun () -> chain6_run ~options ~cache (single "fb_2"))
+  in
+  Alcotest.(check int) "kernel: a later fb_2 compiles one more" 1 compiles
+
+let check_bits what a b =
+  Alcotest.(check bool) what true
+    (Array.length a = Array.length b
+     && Array.for_all2
+          (fun (x : Complex.t) (y : Complex.t) ->
+            Int64.bits_of_float x.re = Int64.bits_of_float y.re
+            && Int64.bits_of_float x.im = Int64.bits_of_float y.im)
+          a b)
+
+(* A set filled block by block, by two requests, answers with the bits
+   of plans compiled for every block at once. *)
+let test_plans_on_demand_bits () =
+  let circ = Circuit.Parser.parse_string ~name:"amp_array_6.sp" chain6_text in
+  let probe = Stability.Probe.prepare circ in
+  let sweep = Stability.Analysis.default_options.Stability.Analysis.sweep in
+  let set = Stability.Probe.plan probe ~sweep in
+  let sweep_of net =
+    match Stability.Probe.response_many ~plan:set probe ~sweep [ net ] with
+    | [ (_, w) ] -> w.Numerics.Waveform.Freq.h
+    | _ -> assert false
+  in
+  let h5 = sweep_of "fb_5" in
+  Alcotest.(check int) "one block compiled" 1 (Engine.Ac_plan.compiled set);
+  let h2 = sweep_of "fb_2" in
+  Alcotest.(check int) "two blocks compiled" 2 (Engine.Ac_plan.compiled set);
+  let blocks = probe.Stability.Probe.blocks in
+  let every =
+    Engine.Ac_plan.compile_blocks
+      ~omega_ref:(Engine.Ac_plan.omega_ref (Numerics.Sweep.points sweep))
+      ~op:probe.Stability.Probe.op ~blocks probe.Stability.Probe.mna
+  in
+  let direct net =
+    let i = Engine.Mna.node_index probe.Stability.Probe.mna net in
+    let b = blocks.Engine.Blocks.block_of.(i) in
+    let k = blocks.Engine.Blocks.local.(i) in
+    let e = Array.make (Engine.Blocks.size blocks b) Numerics.Cx.zero in
+    e.(k) <- Numerics.Cx.one;
+    Array.map
+      (fun f ->
+        let omega = 2. *. Float.pi *. f in
+        (Engine.Ac_plan.solve_many every.(b) ~omega [| e |]).(0).(k))
+      (Numerics.Sweep.points sweep)
+  in
+  check_bits "fb_5 = every-block plans, bit for bit" (direct "fb_5") h5;
+  check_bits "fb_2 = every-block plans, bit for bit" (direct "fb_2") h2;
+  List.iter
+    (fun net ->
+      let b = Stability.Probe.block_of probe net in
+      Alcotest.(check bool) (net ^ ": same skeleton") true
+        (Engine.Ac_plan.skeleton (Engine.Ac_plan.get set b)
+         = Engine.Ac_plan.skeleton every.(b)))
+    [ "fb_5"; "fb_2" ]
+
+(* A campaign's kept misses: after 64 distinct single-node misses of the
+   six-stage chain (the serve campaign's decks, each R and C scaled by
+   its own seeded factor within 2%), the cache holds the probed block's
+   plan per variant, a static report without its graph and no answer
+   text. 406,154 words when every block was compiled and the graph
+   kept; 287,000 to 291,000 now (each manifest lists every counter
+   registered in the process, so the figure moves a little with the
+   tests that ran before). *)
+let test_cache_campaign_footprint () =
+  let variant k =
+    let st = Random.State.make [| 1234; k |] in
+    let scale v =
+      v *. (1. +. (0.02 *. ((2. *. Random.State.float st 1.) -. 1.)))
+    in
+    Workloads.Synth.amp_array ~stages:6 ()
+    |> Circuit.Netlist.map_devices (function
+         | Circuit.Netlist.Resistor r ->
+           Circuit.Netlist.Resistor { r with r = scale r.r }
+         | Circuit.Netlist.Capacitor c ->
+           Circuit.Netlist.Capacitor { c with c = scale c.c }
+         | d -> d)
+    |> Circuit.Netlist.to_spice
+  in
+  let cache = Tool.Cache.create ~capacity:64 () in
+  for k = 0 to 63 do
+    match
+      Tool.Pipeline.run ~cache
+        (Tool.Pipeline.request
+           (Tool.Pipeline.Deck_text
+              { name = Printf.sprintf "amp_array_6_v%d.sp" k; text = variant k })
+           (Tool.Pipeline.Single_node "fb_5"))
+    with
+    | Ok o ->
+      Alcotest.(check bool) "a distinct variant misses" true
+        (o.Tool.Pipeline.cache = `Miss)
+    | Error f -> Alcotest.failf "variant %d: %s" k (Tool.Pipeline.failure_message f)
+  done;
+  let words = Obj.reachable_words (Obj.repr cache) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cache holds %d words, under 300000" words)
+    true (words < 300_000)
+
 let () =
   Alcotest.run "tool"
     [ ("session",
@@ -1671,6 +1839,13 @@ let () =
          Alcotest.test_case "diff JSON" `Quick test_manifest_diff_json;
          Alcotest.test_case "load errors" `Quick
            test_manifest_load_errors ]);
+      ("on-demand plans",
+       [ Alcotest.test_case "compile the probed blocks only" `Quick
+           test_plans_compile_on_demand;
+         Alcotest.test_case "bits of every-block plans" `Quick
+           test_plans_on_demand_bits;
+         Alcotest.test_case "campaign cache footprint" `Quick
+           test_cache_campaign_footprint ]);
       ("cache",
        [ Alcotest.test_case "warm hit re-solves nothing" `Quick
            test_pipeline_warm_hit;
