@@ -230,11 +230,6 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
          done);
     go_parallel
   in
-  (* The span wraps the whole sweep, never the per-point body: the
-     point loops must stay allocation-free of instrumentation. *)
-  Obs.Counter.incr sweeps_counter;
-  Obs.Counter.add points_counter npts;
-  let t0 = Obs.Span.enter () in
   (* Every block this sweep probes and no earlier sweep compiled, from
      one fold of the pencil. *)
   Option.iter
@@ -242,6 +237,11 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
       Engine.Ac_plan.need ps
         (List.filter (fun b -> groups.(b) <> []) (List.init nblocks Fun.id)))
     plans;
+  (* The span wraps the whole sweep, never the per-point body: the
+     point loops must stay allocation-free of instrumentation. *)
+  Obs.Counter.incr sweeps_counter;
+  Obs.Counter.add points_counter npts;
+  let t0 = Obs.Span.enter () in
   let probed = ref 0 and pooled = ref false in
   Array.iteri
     (fun b group ->

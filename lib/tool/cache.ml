@@ -28,7 +28,8 @@
                 each with its JSON text from the first hit the serve
                 daemon answers from it (a miss renders and keeps
                 nothing: an all-miss campaign never reads it again)
-   - [sfg]    : static signal-flow reports (loops + probe cover)
+   - [sfg]    : static signal-flow reports (loops + probe cover, and the
+                graph facts their readers print; not the graph)
 
    Every family feeds always-on {!Obs.Counter}s ([cache.<family>.hits]
    / [.misses] / [.evictions]) so traces, [--metrics] and the serve
