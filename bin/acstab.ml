@@ -1164,8 +1164,7 @@ let export_cmd =
     let rec make_dir d =
       if not (Sys.file_exists d) then begin
         make_dir (Filename.dirname d);
-        try Sys.mkdir d 0o755
-        with Sys_error _ when Sys.file_exists d && Sys.is_directory d -> ()
+        Sys.mkdir d 0o755
       end
     in
     (try make_dir dir with Sys_error m -> usage_error m);

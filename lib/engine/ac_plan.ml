@@ -104,98 +104,87 @@ let on_demand ?(gmin = 1e-12) ?(omega_ref = 2e6 *. Float.pi) ~op ~blocks
 
 let count s = Array.length s.cells
 
-let compiled s =
-  Array.fold_left
-    (fun acc c -> if Option.is_some (Atomic.get c) then acc + 1 else acc)
-    0 s.cells
-
-(* Compile every listed block that has no plan yet, from one fold of
-   the pencil: each entry inside a wanted block is summed into that
-   block's table at its local (row, column), in the pencil's order.
-   Which other blocks are wanted, or compiled already, changes neither
-   the entries of a block nor their order, so a block's plan has the
-   same bits however it came to be compiled; on the one-block identity
-   map ([Blocks.whole]) they are those of a whole-system compile. *)
-let need s wanted =
+(* Compile the blocks that have a table in [tbls], from one fold of the
+   pencil: each entry inside such a block is summed into that block's
+   table at its local (row, column), in the pencil's order. Which other
+   blocks are compiled with it, or before it, changes neither the
+   entries of a block nor their order, so a block's plan has the same
+   bits however it came to be compiled; on the one-block identity map
+   ([Blocks.whole]) they are those of a whole-system compile. *)
+let compile_into s tbls =
   let blocks = s.blocks in
+  let t_compile = Obs.Span.enter () in
+  (* Accumulate the pencil's (g, c) per matrix entry. *)
+  Blocks.pencil blocks s.mna (Linearize.of_op s.op) ~gmin:s.gmin
+    (fun b i j g c ->
+      match tbls.(b) with
+      | None -> ()
+      | Some tbl ->
+        let key = (j * Blocks.size blocks b) + i in
+        let gr, cr =
+          match Hashtbl.find_opt tbl key with
+          | Some cell -> cell
+          | None ->
+            let cell = (ref 0., ref 0.) in
+            Hashtbl.add tbl key cell;
+            cell
+        in
+        gr := !gr +. g;
+        cr := !cr +. c);
+  let plan_of b tbl =
+    let size = Blocks.size blocks b in
+    (* Flatten to CSC, columns then rows ascending. *)
+    let entries =
+      Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
+      |> List.sort (fun (x, _, _) (y, _, _) -> compare x y)
+    in
+    let n = List.length entries in
+    let colptr = Array.make (size + 1) 0 in
+    let rowidx = Array.make n 0 in
+    let gvals = Array.make n 0. and cvals = Array.make n 0. in
+    List.iteri
+      (fun p (key, g, c) ->
+        let j = key / size and i = key mod size in
+        colptr.(j + 1) <- colptr.(j + 1) + 1;
+        rowidx.(p) <- i;
+        gvals.(p) <- g;
+        cvals.(p) <- c)
+      entries;
+    for j = 0 to size - 1 do
+      colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+    done;
+    (* One symbolic analysis per block plan. The reference frequency
+       only seeds the pivot order; [omega_ref] defaults to 1 MHz,
+       mid-band for the tool's decade sweeps. *)
+    let values =
+      Array.init n (fun p -> Cx.make gvals.(p) (s.omega_ref *. cvals.(p)))
+    in
+    let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
+    let sym, _ = Scmat.analyze a in
+    Obs.Counter.incr n_symbolic;
+    { size; colptr; rowidx; gvals; cvals; sym }
+  in
+  let plans = Array.mapi (fun b -> Option.map (plan_of b)) tbls in
+  Array.iteri (fun b p -> if Option.is_some p then Atomic.set s.cells.(b) p)
+    plans;
+  let made = List.filter_map Fun.id (Array.to_list plans) in
+  let total f = List.fold_left (fun acc p -> acc + f p) 0 made in
+  Obs.Span.leave "acplan.compile"
+    ~args:
+      [ ("unknowns", s.mna.Mna.size);
+        ("blocks", List.length made);
+        ("nnz", total nnz);
+        ("fill", total (fun p -> Scmat.fill p.sym)) ]
+    t_compile
+
+let need s wanted =
   let tbls = Array.make (count s) None in
   List.iter
     (fun b ->
       if Option.is_none (Atomic.get s.cells.(b)) && Option.is_none tbls.(b)
-      then tbls.(b) <- Some (Hashtbl.create (4 * Blocks.size blocks b)))
+      then tbls.(b) <- Some (Hashtbl.create (4 * Blocks.size s.blocks b)))
     wanted;
-  if Array.exists Option.is_some tbls then begin
-    let t_compile = Obs.Span.enter () in
-    (* Accumulate the pencil's (g, c) per matrix entry. *)
-    Blocks.pencil blocks s.mna (Linearize.of_op s.op) ~gmin:s.gmin
-      (fun b i j g c ->
-        match tbls.(b) with
-        | None -> ()
-        | Some tbl ->
-          let key = (j * Blocks.size blocks b) + i in
-          let gr, cr =
-            match Hashtbl.find_opt tbl key with
-            | Some cell -> cell
-            | None ->
-              let cell = (ref 0., ref 0.) in
-              Hashtbl.add tbl key cell;
-              cell
-          in
-          gr := !gr +. g;
-          cr := !cr +. c);
-    let plan_of b tbl =
-      let size = Blocks.size blocks b in
-      (* Flatten to CSC, columns then rows ascending. *)
-      let entries =
-        Hashtbl.fold (fun key (g, c) acc -> (key, !g, !c) :: acc) tbl []
-        |> List.sort (fun (x, _, _) (y, _, _) -> compare x y)
-      in
-      let n = List.length entries in
-      let colptr = Array.make (size + 1) 0 in
-      let rowidx = Array.make n 0 in
-      let gvals = Array.make n 0. and cvals = Array.make n 0. in
-      List.iteri
-        (fun p (key, g, c) ->
-          let j = key / size and i = key mod size in
-          colptr.(j + 1) <- colptr.(j + 1) + 1;
-          rowidx.(p) <- i;
-          gvals.(p) <- g;
-          cvals.(p) <- c)
-        entries;
-      for j = 0 to size - 1 do
-        colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
-      done;
-      (* One symbolic analysis per block plan. The reference frequency
-         only seeds the pivot order; it defaults to 1 MHz, mid-band for
-         the tool's decade sweeps. *)
-      let values =
-        Array.init n (fun p ->
-            Cx.make gvals.(p) (s.omega_ref *. cvals.(p)))
-      in
-      let a = Scmat.of_csc ~rows:size ~cols:size ~colptr ~rowidx values in
-      let sym, _ = Scmat.analyze a in
-      Obs.Counter.incr n_symbolic;
-      { size; colptr; rowidx; gvals; cvals; sym }
-    in
-    let made = ref 0 and nnz_made = ref 0 and fill_made = ref 0 in
-    Array.iteri
-      (fun b -> function
-        | None -> ()
-        | Some tbl ->
-          let p = plan_of b tbl in
-          Atomic.set s.cells.(b) (Some p);
-          incr made;
-          nnz_made := !nnz_made + nnz p;
-          fill_made := !fill_made + Scmat.fill p.sym)
-      tbls;
-    Obs.Span.leave "acplan.compile"
-      ~args:
-        [ ("unknowns", s.mna.Mna.size);
-          ("blocks", !made);
-          ("nnz", !nnz_made);
-          ("fill", !fill_made) ]
-      t_compile
-  end
+  if Array.exists Option.is_some tbls then compile_into s tbls
 
 let rec get s b =
   match Atomic.get s.cells.(b) with

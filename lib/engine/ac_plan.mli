@@ -51,9 +51,6 @@ val get : set -> int -> t
 val count : set -> int
 (** Number of blocks (cells) of the set. *)
 
-val compiled : set -> int
-(** Number of blocks whose plan the set holds. *)
-
 val compile_blocks :
   ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> blocks:Blocks.t ->
   Mna.t -> t array

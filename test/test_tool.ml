@@ -1709,10 +1709,10 @@ let test_plans_on_demand_bits () =
     | [ (_, w) ] -> w.Numerics.Waveform.Freq.h
     | _ -> assert false
   in
-  let h5 = sweep_of "fb_5" in
-  Alcotest.(check int) "one block compiled" 1 (Engine.Ac_plan.compiled set);
-  let h2 = sweep_of "fb_2" in
-  Alcotest.(check int) "two blocks compiled" 2 (Engine.Ac_plan.compiled set);
+  let h5, sym = delta "acplan.symbolic" (fun () -> sweep_of "fb_5") in
+  Alcotest.(check int) "fb_5 compiles one block" 1 sym;
+  let h2, sym = delta "acplan.symbolic" (fun () -> sweep_of "fb_2") in
+  Alcotest.(check int) "fb_2 compiles one more" 1 sym;
   let blocks = probe.Stability.Probe.blocks in
   let every =
     Engine.Ac_plan.compile_blocks
