@@ -1839,7 +1839,7 @@ let () =
          Alcotest.test_case "diff JSON" `Quick test_manifest_diff_json;
          Alcotest.test_case "load errors" `Quick
            test_manifest_load_errors ]);
-      ("on-demand plans",
+      ("plans",
        [ Alcotest.test_case "compile the probed blocks only" `Quick
            test_plans_compile_on_demand;
          Alcotest.test_case "bits of every-block plans" `Quick
