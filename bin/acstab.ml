@@ -315,13 +315,20 @@ let single_node_cmd =
     let o = analyze ~options loaded (Tool.Pipeline.Single_node node) in
     let r = List.hd o.Tool.Pipeline.results in
     Stability.Report.single_node Format.std_formatter r;
+    (* The results keep no plot: draw it again, once, when asked for. *)
+    let coarse =
+      lazy
+        (match Tool.Pipeline.coarse_plots o [ node ] with
+         | [ (_, p) ] -> p
+         | _ -> assert false)
+    in
     if plot then
-      Stability.Stability_plot.pp Format.std_formatter
-        r.Stability.Analysis.plot;
+      Stability.Stability_plot.pp Format.std_formatter (Lazy.force coarse);
     Option.iter
       (fun path ->
         Tool.Html_report.write path
-          (Tool.Html_report.single_node loaded.Tool.Pipeline.circ r))
+          (Tool.Html_report.single_node loaded.Tool.Pipeline.circ r
+             (Lazy.force coarse)))
       html;
     Option.iter
       (fun path -> Tool.Manifest.write path o.Tool.Pipeline.manifest)
@@ -371,7 +378,9 @@ let all_nodes_cmd =
       Stability.Annotate.netlist Format.std_formatter circ results;
     Option.iter
       (fun path ->
-        Tool.Html_report.write path (Tool.Html_report.all_nodes circ results))
+        Tool.Html_report.write path
+          (Tool.Html_report.all_nodes ~plots:(Tool.Pipeline.coarse_plots o)
+             circ results))
       html;
     Option.iter
       (fun path -> Tool.Manifest.write path o.Tool.Pipeline.manifest)
@@ -867,7 +876,8 @@ let lint_cmd =
     let findings =
       Lint.Runner.run ~config:{ Lint.Runner.disabled = disable } circ
     in
-    if json then print_endline (Lint.Json.report ~file findings)
+    if json then
+      print_endline (Tool.Json.to_string (Tool.Lint_report.json ~file findings))
     else begin
       print_findings ~file Format.std_formatter findings;
       let count sev =

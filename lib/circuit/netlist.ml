@@ -124,34 +124,43 @@ type directive =
 
 module Smap = Map.Make (String)
 
+(* A device in the name index, with the source line the parser recorded
+   for it (0: none, as for a device built in code). *)
+type named = { dev : device; line : int }
+
 type t = {
   title : string;
   temp : float;  (* Celsius *)
   rev_devices : device list;
-  by_name : device Smap.t;  (* keyed by lower-cased device name *)
+  by_name : named Smap.t;  (* keyed by lower-cased device name *)
   models_map : model Smap.t;
   params_map : float Smap.t;
   rev_params : (string * float) list;
   rev_directives : directive list;
   options_map : float Smap.t;
-  lines_map : int Smap.t;  (* device name -> source line (parser-recorded) *)
 }
 
 let empty ?(title = "untitled") () =
   { title; temp = 27.; rev_devices = []; by_name = Smap.empty;
     models_map = Smap.empty; params_map = Smap.empty; rev_params = [];
-    rev_directives = []; options_map = Smap.empty; lines_map = Smap.empty }
+    rev_directives = []; options_map = Smap.empty }
 
 let title c = c.title
 let temp_celsius c = c.temp
 let with_temp temp c = { c with temp }
-let key s = String.lowercase_ascii s
+
+(* A name with no upper-case letter is its own key. *)
+let key s =
+  if String.exists (fun ch -> ch >= 'A' && ch <= 'Z') s then
+    String.lowercase_ascii s
+  else s
 
 let add c d =
   let k = key (device_name d) in
   if Smap.mem k c.by_name then
     invalid_arg (Printf.sprintf "Netlist.add: duplicate device %S" (device_name d));
-  { c with rev_devices = d :: c.rev_devices; by_name = Smap.add k d c.by_name }
+  { c with rev_devices = d :: c.rev_devices;
+           by_name = Smap.add k { dev = d; line = 0 } c.by_name }
 
 let add_model c m =
   { c with models_map = Smap.add (key m.model_name) m c.models_map }
@@ -170,39 +179,51 @@ let option_value c k ~default =
   | None -> default
 
 let set_device_line c name line =
-  { c with lines_map = Smap.add (key name) line c.lines_map }
+  { c with
+    by_name =
+      Smap.update (key name)
+        (Option.map (fun n -> { n with line }))
+        c.by_name }
 
-let device_line c name = Smap.find_opt (key name) c.lines_map
+let device_line c name =
+  match Smap.find_opt (key name) c.by_name with
+  | Some { line; _ } when line > 0 -> Some line
+  | _ -> None
 
 let options c = Smap.bindings c.options_map
 let devices c = List.rev c.rev_devices
 let models c = List.map snd (Smap.bindings c.models_map)
 let params c = List.rev c.rev_params
 let directives c = List.rev c.rev_directives
-let find_device c name = Smap.find_opt (key name) c.by_name
+let find_device c name =
+  Option.map (fun n -> n.dev) (Smap.find_opt (key name) c.by_name)
+
 let find_model c name = Smap.find_opt (key name) c.models_map
+
+let line_of c k =
+  match Smap.find_opt k c.by_name with Some n -> n.line | None -> 0
 
 let remove_device c name =
   let k = key name in
   { c with
     rev_devices =
       List.filter (fun d -> key (device_name d) <> k) c.rev_devices;
-    by_name = Smap.remove k c.by_name;
-    lines_map = Smap.remove k c.lines_map }
+    by_name = Smap.remove k c.by_name }
 
 let replace_device c d =
-  let line = device_line c (device_name d) in
+  let line = line_of c (key (device_name d)) in
   let c = remove_device c (device_name d) in
   let c = add c d in
-  match line with
-  | Some l -> set_device_line c (device_name d) l
-  | None -> c
+  if line > 0 then set_device_line c (device_name d) line else c
 
+(* A mapped device keeps the line recorded under its name. *)
 let map_devices f c =
   let rev_devices = List.rev_map f (List.rev c.rev_devices) in
   let by_name =
     List.fold_left
-      (fun m d -> Smap.add (key (device_name d)) d m)
+      (fun m d ->
+        let k = key (device_name d) in
+        Smap.add k { dev = d; line = line_of c k } m)
       Smap.empty rev_devices
   in
   { c with rev_devices; by_name }

@@ -326,14 +326,23 @@ let map_node bindings prefix n =
 type context = {
   subckts : (string, subckt) Hashtbl.t;
   mutable circ : Netlist.t;
+  nets : (string, string) Hashtbl.t;
+      (* one string per net name: every terminal on a net shares it *)
 }
+
+let intern ctx n =
+  match Hashtbl.find_opt ctx.nets n with
+  | Some s -> s
+  | None ->
+    Hashtbl.add ctx.nets n n;
+    n
 
 let rec process_line ctx ~env ~bindings ~prefix { num; text } =
   let toks = tokenize num text in
   match toks with
   | [] -> ()
   | first :: rest ->
-    let node = map_node bindings prefix in
+    let node n = intern ctx (map_node bindings prefix n) in
     let value = value_of env num in
     let kv = parse_kv_args env num rest in
     let pos = positional rest in
@@ -611,7 +620,9 @@ let parse_string ?(name = "netlist") ?(base_dir = Filename.current_dir_name)
   in
   let llines = logical_lines ~first_num:body_first_num body_text in
   let subckts, top = extract_subckts llines in
-  let ctx = { subckts; circ = Netlist.empty ~title () } in
+  let ctx =
+    { subckts; circ = Netlist.empty ~title (); nets = Hashtbl.create 64 }
+  in
   (* First pass: collect .param cards so devices can reference them in any
      order, mirroring SPICE behaviour. *)
   List.iter

@@ -96,7 +96,6 @@ let grade health degraded =
 type node_result = {
   node : Circuit.Netlist.node;
   block : int;
-  plot : Stability_plot.t;
   peaks : Peaks.peak list;
   dominant : Peaks.peak option;
   degraded : int;
@@ -134,18 +133,20 @@ let live_window (w : Waveform.Freq.t) =
   if max_mag < 1e-9 then None
   else begin
     let floor = max_mag *. 1e-14 in
-    let clamped = ref 0 in
-    let h =
-      Array.mapi
-        (fun k z ->
-          if Float.is_finite mag.(k) && mag.(k) >= floor then z
-          else begin
-            incr clamped;
-            { Complex.re = floor; im = 0. }
-          end)
-        w.Waveform.Freq.h
+    let live m = Float.is_finite m && m >= floor in
+    let clamped =
+      Array.fold_left (fun n m -> if live m then n else n + 1) 0 mag
     in
-    Some (Waveform.Freq.make w.Waveform.Freq.freqs h, !clamped)
+    (* A clean response is returned as it is; only a clamped one is
+       rebuilt, around the caller's frequency array. *)
+    if clamped = 0 then Some (w, 0)
+    else
+      let h =
+        Array.mapi
+          (fun k z -> if live mag.(k) then z else { Complex.re = floor; im = 0. })
+          w.Waveform.Freq.h
+      in
+      Some ({ w with Waveform.Freq.h }, clamped)
   end
 
 (* Select the refined peak from a zoom-window response: the candidate of
@@ -267,9 +268,11 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
           None
         | Some (response, degraded) ->
           if degraded > 0 then Obs.Counter.incr degraded_counter;
-          let plot = Stability_plot.of_response response in
-          let peaks = Peaks.analyze ~min_magnitude:opts.min_peak plot in
-          Some (node, plot, degraded, peaks))
+          let peaks =
+            Peaks.analyze ~min_magnitude:opts.min_peak
+              (Stability_plot.of_response response)
+          in
+          Some (node, degraded, peaks))
       entries
   in
   Obs.Span.leave "analysis.classify" ~args:[ ("nets", List.length coarse) ]
@@ -279,7 +282,7 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
     else begin
       let jobs =
         List.concat_map
-          (fun (node, _, _, peaks) ->
+          (fun (node, _, peaks) ->
             List.mapi
               (fun slot pk ->
                 { rj_node = node; rj_slot = slot; rj_coarse = pk })
@@ -298,11 +301,11 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
     end
   in
   List.map
-    (fun (node, plot, degraded, peaks) ->
+    (fun (node, degraded, peaks) ->
       let peaks = List.mapi (fun slot pk -> refined_of node slot pk) peaks in
       let block = Probe.block_of probe node in
       let meter = Option.map (fun h -> h.(block)) health in
-      { node; block; plot; peaks; dominant = Peaks.dominant peaks; degraded;
+      { node; block; peaks; dominant = Peaks.dominant peaks; degraded;
         quality = grade meter degraded })
     coarse
 
@@ -321,8 +324,8 @@ let meters probe =
   Array.init (Engine.Blocks.count probe.Probe.blocks) (fun _ ->
       Engine.Health.meter ())
 
-let single_node_prepared ?(options = default_options) ?plan ?kernel probe
-    node =
+(* The plan and kernel sets a run uses: the caller's, or fresh ones. *)
+let run_sets options ?plan ?kernel probe =
   let plan =
     match plan with Some _ as p -> p | None -> shared_plan options probe
   in
@@ -331,6 +334,11 @@ let single_node_prepared ?(options = default_options) ?plan ?kernel probe
     | Some _ as k -> k
     | None -> shared_kernel options plan
   in
+  (plan, kernel)
+
+let single_node_prepared ?(options = default_options) ?plan ?kernel probe
+    node =
+  let plan, kernel = run_sets options ?plan ?kernel probe in
   let health = meters probe in
   let t0 = Obs.Span.enter () in
   let w =
@@ -352,14 +360,7 @@ let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
     | None ->
       Array.to_list (Circuit.Topology.nodes probe.Probe.mna.Engine.Mna.topo)
   in
-  let plan =
-    match plan with Some _ as p -> p | None -> shared_plan options probe
-  in
-  let kernel =
-    match kernel with
-    | Some _ as k -> k
-    | None -> shared_kernel options plan
-  in
+  let plan, kernel = run_sets options ?plan ?kernel probe in
   let health = meters probe in
   let t0 = Obs.Span.enter () in
   let responses =
@@ -367,6 +368,37 @@ let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
   in
   Obs.Span.leave "analysis.coarse" ~args:[ ("nets", List.length all) ] t0;
   analyze_many options ?plan ?kernel ~health probe responses
+
+(* The coarse plots are not kept in the results: a printed plot sweeps
+   its nets again, through the same cleaning. A block's solves give a
+   net the same bits whatever else the block's batch holds, except that
+   a batch of one takes another path (the sparse solve divides by each
+   pivot, a batch multiplies by its reciprocal); so each block holding
+   a wanted net sweeps again what the run swept in it, and each net's
+   response is the run's bit for bit. Health sampling only reads the
+   factors. *)
+let coarse_plots ?(options = default_options) ?plan ?kernel ?swept probe
+    nodes =
+  let plan, kernel = run_sets options ?plan ?kernel probe in
+  let batch =
+    match swept with
+    | None -> List.sort_uniq compare nodes
+    | Some swept ->
+      let blocks = List.map (Probe.block_of probe) nodes in
+      List.filter (fun n -> List.mem (Probe.block_of probe n) blocks) swept
+      @ List.filter
+          (fun n -> not (List.mem n swept))
+          (List.sort_uniq compare nodes)
+  in
+  let responses =
+    response_many options ?plan ?kernel probe batch ~sweep:options.sweep
+  in
+  List.filter_map
+    (fun node ->
+      Option.map
+        (fun (w, _) -> (node, Stability_plot.of_response w))
+        (live_window (List.assoc node responses)))
+    nodes
 
 let single_node ?(options = default_options) circ node =
   let probe = Probe.prepare ~dc_options:options.dc_options circ in

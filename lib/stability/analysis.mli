@@ -75,7 +75,6 @@ type node_result = {
   (** the node's strongly connected block of the pencil
       ({!Probe.block_of}): nodes of different blocks share no poles, so
       they never belong to one loop ({!Loops.cluster}) *)
-  plot : Stability_plot.t;       (** coarse plot (kept for plotting) *)
   peaks : Peaks.peak list;       (** refined peaks *)
   dominant : Peaks.peak option;  (** deepest complex-pole peak *)
   degraded : int;
@@ -117,6 +116,36 @@ val all_nodes_prepared :
   ?options:options -> ?nodes:Circuit.Netlist.node list ->
   ?plan:Engine.Ac_plan.set -> ?kernel:Engine.Kernel.set ->
   Probe.t -> node_result list
+
+val live_window :
+  Numerics.Waveform.Freq.t -> (Numerics.Waveform.Freq.t * int) option
+(** The cleaning a run applies to a net's response before taking its
+    stability plot: [None] for a net with no live response (its largest
+    finite magnitude below a nano-ohm: a net an ideal source holds),
+    otherwise the response with every sample below 1e-14 of that
+    maximum, or non-finite, set to the floor, and the count of such
+    samples (the result's [degraded]). A response with no such sample
+    comes back as it is. *)
+
+val coarse_plots :
+  ?options:options -> ?plan:Engine.Ac_plan.set ->
+  ?kernel:Engine.Kernel.set -> ?swept:Circuit.Netlist.node list ->
+  Probe.t -> Circuit.Netlist.node list ->
+  (Circuit.Netlist.node * Stability_plot.t) list
+(** The coarse stability plots of these nets, in their order, as a run
+    mode's coarse scan draws them: swept again over [options.sweep]
+    through [plan] and [kernel] (as in {!single_node_prepared}), each
+    response cleaned by {!live_window} before
+    {!Stability_plot.of_response}. A net whose response a run skips is
+    left out. Results keep no plot, so only a caller that prints one
+    pays for this sweep.
+
+    [swept] lists the nets the run probed (default: [nodes]). In each
+    block that holds one of [nodes], the sweep solves the nets of
+    [swept] there too, so that the block solves the run's batch: a
+    solve gives a net the same bits whatever else the batch holds,
+    except that a batch of one takes a path of its own. Each plot then
+    equals, bit for bit, the one the run's coarse scan gave the net. *)
 
 val shared_plan : options -> Probe.t -> Engine.Ac_plan.set option
 (** The plan set a run mode would use for these options, one cell per

@@ -258,7 +258,11 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
         ("blocks", !probed);
         ("parallel", if !pooled then 1 else 0) ]
     t0;
-  List.mapi (fun q (n, _) -> (n, Waveform.Freq.make freqs outs.(q))) indexed
+  (* The sweep owns [freqs] and [outs] (Sweep.points is a fresh array),
+     so every response holds them as they are: one frequency array for
+     all the nets. *)
+  List.mapi (fun q (n, _) -> (n, { Waveform.Freq.freqs; h = outs.(q) }))
+    indexed
 
 let response ?gmin t ~sweep node =
   match response_many ?gmin t ~sweep [ node ] with

@@ -9,7 +9,7 @@ type t = {
 
 let of_magnitude ~freqs ~mag =
   let p, clamped = Deriv.stability_function_clamped ~freq:freqs ~mag in
-  { freqs = Array.copy freqs; mag = Array.copy mag; p; clamped }
+  { freqs; mag; p; clamped }
 
 let of_response w =
   of_magnitude ~freqs:w.Waveform.Freq.freqs ~mag:(Waveform.Freq.mag w)

@@ -21,9 +21,12 @@ val of_response : Numerics.Waveform.Freq.t -> t
 (** Compute the plot from a complex response. Magnitude samples that are
     zero, negative, or non-finite (deep-notch underflow, ill-conditioned
     solves) are clamped to a floor instead of raising; the count is
-    recorded in [clamped]. *)
+    recorded in [clamped]. The plot shares the response's frequency
+    array. *)
 
 val of_magnitude : freqs:float array -> mag:float array -> t
+(** The plot holds [freqs] and [mag] as given, uncopied; neither is
+    written to afterwards, here or by any reader of a plot. *)
 
 val degraded : t -> bool
 (** True when any magnitude sample was clamped; P near those samples is

@@ -32,8 +32,7 @@ footer { margin-top: 2.5em; color: #777; font-size: 0.85em; }
 |}
     (esc title) body (esc Diagnostics.tool_version)
 
-let plot_of_node (r : Stability.Analysis.node_result) =
-  let plot = r.Stability.Analysis.plot in
+let plot_of_node (r : Stability.Analysis.node_result) plot =
   let stab =
     Svgplot.render
       (Svgplot.config ~x_axis:Svgplot.Log
@@ -85,8 +84,8 @@ let peak_table peaks =
      <th>zeta</th><th>est. PM</th><th>notices</th></tr>%s</table>"
     (peak_rows peaks)
 
-let single_node circ (r : Stability.Analysis.node_result) =
-  let stab_svg, mag_svg = plot_of_node r in
+let single_node circ (r : Stability.Analysis.node_result) plot =
+  let stab_svg, mag_svg = plot_of_node r plot in
   let body =
     Printf.sprintf
       {|<h1>Stability analysis of net "%s" — %s</h1>
@@ -104,7 +103,7 @@ let single_node circ (r : Stability.Analysis.node_result) =
   in
   page ~title:(Printf.sprintf "acstab: %s" r.node) body
 
-let all_nodes circ results =
+let all_nodes ~plots circ results =
   let loops = Stability.Loops.cluster results in
   let loop_rows =
     loops
@@ -128,19 +127,21 @@ let all_nodes circ results =
           l.Stability.Loops.members)
     |> String.concat "\n"
   in
-  (* Overlay the stability plots of each loop's worst node. *)
+  (* Overlay the stability plots of each loop's worst node, drawn in
+     one call for all of them. *)
   let overlay =
+    let worst =
+      List.map
+        (fun (l : Stability.Loops.loop) ->
+          l.Stability.Loops.worst.Stability.Loops.node)
+        loops
+    in
     let ss =
-      loops
-      |> List.filter_map (fun (l : Stability.Loops.loop) ->
-          let node = l.Stability.Loops.worst.Stability.Loops.node in
-          List.find_opt
-            (fun (r : Stability.Analysis.node_result) -> r.node = node)
-            results
-          |> Option.map (fun (r : Stability.Analysis.node_result) ->
-              let plot = r.Stability.Analysis.plot in
-              Svgplot.series node plot.Stability.Stability_plot.freqs
-                plot.Stability.Stability_plot.p))
+      List.map
+        (fun (node, plot) ->
+          Svgplot.series node plot.Stability.Stability_plot.freqs
+            plot.Stability.Stability_plot.p)
+        (match worst with [] -> [] | nodes -> plots nodes)
     in
     match ss with
     | [] -> ""

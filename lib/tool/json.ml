@@ -1,8 +1,8 @@
 (* JSON values with a parser and printer — just enough for run
-   manifests ([acstab diff] must read back what [--manifest] wrote, so
-   unlike the emit-only lint reports this needs the round trip). No
-   dependency; numbers are floats (manifests never carry integers large
-   enough to care).
+   manifests, lint reports and serve answers ([acstab diff] must read
+   back what [--manifest] wrote, hence the parser). No dependency;
+   numbers are floats (manifests never carry integers large enough to
+   care).
 
    [Rendered] holds text this printer already produced. It prints
    verbatim, which lets the serve daemon render a cached manifest once

@@ -1,4 +1,6 @@
-(** JSON rendering of lint reports (hand-rolled; no external dependency).
+(** Lint findings as JSON values, for the tool layer's three readers:
+    [acstab lint --json] prints {!json}, run manifests embed it, and the
+    serve daemon's [lint] command answers with it.
 
     Schema:
     {v
@@ -10,5 +12,6 @@
           "nets": ["..."], "devices": ["..."] } ] }
     v} *)
 
-val of_finding : Rule.finding -> string
-val report : ?file:string -> Rule.finding list -> string
+val finding_json : Lint.Rule.finding -> Json.t
+
+val json : ?file:string -> Lint.Rule.finding list -> Json.t

@@ -53,17 +53,8 @@ let entry_of_result (r : Stability.Analysis.node_result) =
     peak = dominant (fun d -> d.Stability.Peaks.value);
     quality = Stability.Analysis.quality_string r.quality }
 
-let build ~deck_file ~deck_sha256 ?circ ?(options = []) ?lint_json ?loops
-    ~results ~wall_s ~cpu_s () =
-  let lint =
-    match lint_json with
-    | None -> Json.Arr []
-    | Some s ->
-      (* Pre-rendered by the lint library (the tool layer does not link
-         it); malformed input degrades to the raw string rather than
-         poisoning the manifest. *)
-      (match Json.of_string s with Ok v -> v | Error _ -> Json.Str s)
-  in
+let build ~deck_file ~deck_sha256 ?circ ?(options = []) ?(lint = Json.Arr [])
+    ?loops ~results ~wall_s ~cpu_s () =
   let stats =
     match circ with
     | None -> []

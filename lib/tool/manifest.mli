@@ -52,15 +52,15 @@ val entry_of_result : Stability.Analysis.node_result -> node_entry
 
 val build :
   deck_file:string -> deck_sha256:string -> ?circ:Circuit.Netlist.t ->
-  ?options:(string * string) list -> ?lint_json:string ->
+  ?options:(string * string) list -> ?lint:Json.t ->
   ?loops:loops_section ->
   results:Stability.Analysis.node_result list -> wall_s:float ->
   cpu_s:float -> unit -> t
 (** Assemble a manifest from run results, snapshotting the observability
     registries. [deck_sha256] is the deck's fingerprint as the caller
     already computed it ({!Sha256.digest} of the expanded text).
-    [lint_json] is the lint library's JSON report (the tool layer embeds
-    it verbatim rather than linking the linter). *)
+    [lint] is the lint report ({!Lint_report.json}; an empty array when
+    absent). *)
 
 val json : t -> Json.t
 (** The manifest as a JSON value — what the serve daemon embeds in

@@ -278,17 +278,17 @@ let cpu_seconds () =
   t.Unix.tms_utime +. t.Unix.tms_stime
 
 let manifest_of ?cache loaded ~options ~results ~wall_s ~cpu_s =
-  (* The lint findings go in as the lint library's JSON report,
-     independent of the gate policy: a --no-lint run still records what
-     the linter would have said. Likewise the structural loops section:
-     it records what the deck's signal-flow graph says regardless of the
-     analysis mode, so `acstab diff` can gate on vanished loops. *)
-  let lint_json =
-    Lint.Json.report ~file:loaded.deck_name (lint_findings ?cache loaded)
+  (* The lint findings go in as their JSON report, independent of the
+     gate policy: a --no-lint run still records what the linter would
+     have said. Likewise the structural loops section: it records what
+     the deck's signal-flow graph says regardless of the analysis mode,
+     so `acstab diff` can gate on vanished loops. *)
+  let lint =
+    Lint_report.json ~file:loaded.deck_name (lint_findings ?cache loaded)
   in
   let loops = Loops_report.section (fst (static_report ?cache loaded)) in
   Manifest.build ~deck_file:loaded.deck_name ~deck_sha256:loaded.sha256
-    ~circ:loaded.circ ~options ~lint_json ~loops ~results ~wall_s ~cpu_s ()
+    ~circ:loaded.circ ~options ~lint ~loops ~results ~wall_s ~cpu_s ()
 
 (* ---- analyze: the cached stability run ---- *)
 
@@ -422,8 +422,9 @@ let manifest_options analysis (o : Stability.Analysis.options) =
   | All_nodes _ -> ("mode", "all-nodes") :: sweep_opts
   | Auto_nodes -> ("mode", "all-nodes") :: ("nodes", "auto") :: sweep_opts
 
-let analyze_uncached ?cache ~options loaded analysis =
-  let cache = cache_or_global cache in
+(* The prepared probe and the plan and kernel sets of a deck under these
+   options, from [cache] or made there. *)
+let prepared cache ~options loaded =
   let op_key =
     key_of loaded ^ "|op|" ^ dc_key options.Stability.Analysis.dc_options
   in
@@ -431,7 +432,6 @@ let analyze_uncached ?cache ~options loaded analysis =
     op_key ^ "|plan|"
     ^ string_of_int (backend_code options.Stability.Analysis.backend)
   in
-  let w0 = Unix.gettimeofday () and c0 = cpu_seconds () in
   let probe, _ =
     Cache.op cache ~key:op_key (fun () ->
         Stability.Probe.prepare
@@ -455,27 +455,34 @@ let analyze_uncached ?cache ~options loaded analysis =
              Stability.Analysis.shared_kernel options plan))
     | _ -> None
   in
+  (probe, plan, kernel)
+
+(* The nets a run of [analysis] probes; [None] is every net. *)
+let probed_nets cache loaded = function
+  | Single_node node -> Some [ node ]
+  | All_nodes nodes -> nodes
+  | Auto_nodes ->
+    (* Probe only the static report's cover set — every enumerated
+       loop stays observed. A loop-free (or all-pinned) deck has an
+       empty cover; probing nothing would be useless, so fall back to
+       every net. *)
+    let report, _ = static_report ~cache loaded in
+    (match report.Staticanalysis.Report.cover with
+     | [] -> None
+     | cover -> Some cover)
+
+let analyze_uncached ?cache ~options loaded analysis =
+  let cache = cache_or_global cache in
+  let w0 = Unix.gettimeofday () and c0 = cpu_seconds () in
+  let probe, plan, kernel = prepared cache ~options loaded in
   let results =
     match analysis with
     | Single_node node ->
       [ Stability.Analysis.single_node_prepared ~options ?plan ?kernel probe
           node ]
-    | All_nodes nodes ->
-      Stability.Analysis.all_nodes_prepared ~options ?nodes ?plan ?kernel
-        probe
-    | Auto_nodes ->
-      (* Probe only the static report's cover set — every enumerated
-         loop stays observed. A loop-free (or all-pinned) deck has an
-         empty cover; probing nothing would be useless, so fall back to
-         every net. *)
-      let report, _ = static_report ~cache loaded in
-      let nodes =
-        match report.Staticanalysis.Report.cover with
-        | [] -> None
-        | cover -> Some cover
-      in
-      Stability.Analysis.all_nodes_prepared ~options ?nodes ?plan ?kernel
-        probe
+    | All_nodes _ | Auto_nodes ->
+      Stability.Analysis.all_nodes_prepared ~options
+        ?nodes:(probed_nets cache loaded analysis) ?plan ?kernel probe
   in
   let wall_s = Unix.gettimeofday () -. w0
   and cpu_s = cpu_seconds () -. c0 in
@@ -519,6 +526,19 @@ let analyze_exn ?cache ?(options = Stability.Analysis.default_options) loaded
 
 let analyze ?cache ?options loaded analysis =
   guard loaded (fun () -> analyze_exn ?cache ?options loaded analysis)
+
+let coarse_plots ?cache (o : outcome) nodes =
+  let cache = cache_or_global cache in
+  let probe, plan, kernel = prepared cache ~options:o.options o.loaded in
+  let swept =
+    match probed_nets cache o.loaded o.analysis with
+    | Some nets -> nets
+    | None ->
+      Array.to_list
+        (Circuit.Topology.nodes probe.Stability.Probe.mna.Engine.Mna.topo)
+  in
+  Stability.Analysis.coarse_plots ~options:o.options ?plan ?kernel ~swept
+    probe nodes
 
 (* ---- one-step convenience for front ends ---- *)
 

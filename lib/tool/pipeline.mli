@@ -163,6 +163,17 @@ val analyze_exn :
     with their own exception contract ({!Ocean.run} under
     {!Diagnostics.guard}). *)
 
+val coarse_plots :
+  ?cache:Cache.t -> outcome -> Circuit.Netlist.node list ->
+  (Circuit.Netlist.node * Stability.Stability_plot.t) list
+(** The coarse stability plots of these nets of the outcome's deck
+    ({!Stability.Analysis.coarse_plots}, with the nets the outcome's run
+    probed as [swept]), bit for bit those of the run's coarse scan,
+    swept through the probe, plan and kernel that [cache] holds for the
+    deck and options (made again if evicted, to the same bits). Results
+    keep no plot; [--plot] and [--html] draw theirs from here, so only
+    they pay for this sweep. *)
+
 (** {1 One-step requests} *)
 
 type request = {

@@ -210,15 +210,10 @@ let handle_lint cache ?id v =
      | Error failure -> failure_response ?id ~file failure
      | Ok loaded ->
        let findings = Pipeline.lint_findings ~cache loaded in
-       let report =
-         match Json.of_string (Lint.Json.report ~file findings) with
-         | Ok j -> j
-         | Error _ -> Json.Null
-       in
        respond_fields ?id
          [ ("ok", Json.Bool true);
            ("deck_sha256", Json.Str loaded.Pipeline.sha256);
-           ("report", report) ])
+           ("report", Lint_report.json ~file findings) ])
 
 let handle_loops cache ?id v =
   match deck_of_request v with

@@ -259,6 +259,100 @@ let test_lines_recorded () =
   Alcotest.(check (option int)) "built device" None
     (Netlist.device_line c "R1")
 
+(* Edits keep the line of every device they leave in place; a device
+   an edit adds has none. *)
+let test_lines_survive_edits () =
+  let circ =
+    parse "edits\nV1 a 0 DC 1 AC 1\nR1 a b 1k\nC1 b 0 1n\nR2 b 0 2k\n"
+  in
+  let check what c expected =
+    List.iter
+      (fun (name, line) ->
+        Alcotest.(check (option int)) (what ^ ": " ^ name) line
+          (Netlist.device_line c name))
+      expected
+  in
+  let all = [ ("V1", Some 2); ("R1", Some 3); ("C1", Some 4); ("R2", Some 5) ] in
+  check "parsed" circ all;
+  let r1 =
+    Netlist.Resistor { name = "r1"; n1 = "a"; n2 = "b"; r = 2e3; tc1 = 0.;
+                       tc2 = 0. }
+  in
+  check "replace_device" (Netlist.replace_device circ r1) all;
+  let removed = Netlist.remove_device circ "C1" in
+  check "remove_device" removed
+    [ ("V1", Some 2); ("R1", Some 3); ("C1", None); ("R2", Some 5) ];
+  check "re-added" (Netlist.capacitor removed "C1" "b" "0" 1e-9)
+    [ ("C1", None); ("R2", Some 5) ];
+  let doubled =
+    Netlist.map_devices
+      (function
+        | Netlist.Resistor r -> Netlist.Resistor { r with r = 2. *. r.r }
+        | d -> d)
+      circ
+  in
+  check "map_devices" doubled all;
+  let probed = Transform.with_ac_current_probe circ "b" in
+  check "with_ac_current_probe" probed
+    ((Transform.probe_name, None) :: all)
+
+(* The line of each lint finding on the shipped circuits and the
+   exported built-in decks, as (deck, rule, line, devices). The shipped
+   circuits lint clean. *)
+let finding_lines =
+  [ ("bias_zero_tc", "gain-outside-loop", Some 10, [ "Q5" ]);
+    ("bias_zero_tc", "gain-outside-loop", Some 12, [ "Q3" ]);
+    ("opamp_2mhz_buffer", "gain-outside-loop", Some 10, [ "M5" ]);
+    ("opamp_2mhz_buffer", "gain-outside-loop", Some 12, [ "M7" ]);
+    ("opamp_2mhz_buffer", "gain-outside-loop", Some 22, [ "Q5" ]);
+    ("opamp_2mhz_buffer", "gain-outside-loop", Some 24, [ "Q3" ]) ]
+
+(* Every device cites the physical line its card starts on, and every
+   finding the line above, on the decks as the CLI reads them. *)
+let test_finding_lines () =
+  let exported =
+    [ ("opamp_2mhz_buffer", Workloads.Opamp_2mhz.buffer ());
+      ("bias_zero_tc", Workloads.Bias_zero_tc.cell ());
+      ("nmc_amp_buffer", Workloads.Nmc_amp.buffer ());
+      ("rc_ladder_20", Workloads.Ladder.rc ()) ]
+    |> List.map (fun (name, c) -> (name, Netlist.to_spice c))
+  in
+  let shipped =
+    List.map
+      (fun f ->
+        (Filename.remove_extension f,
+         Parser.read_file (Filename.concat "../circuits" f)))
+      shipped
+  in
+  let cited =
+    List.concat_map
+      (fun (name, text) ->
+        let circ = Parser.parse_file_text (name ^ ".sp") text in
+        let lines = Array.of_list (String.split_on_char '\n' text) in
+        List.iter
+          (fun d ->
+            let dev = Netlist.device_name d in
+            match Netlist.device_line circ dev with
+            | None -> Alcotest.failf "%s: %s has no line" name dev
+            | Some l ->
+              let card = String.trim lines.(l - 1) in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s starts line %d" name dev l)
+                (String.lowercase_ascii dev)
+                (String.lowercase_ascii
+                   (List.hd (String.split_on_char ' ' card))))
+          (Netlist.devices circ);
+        List.map
+          (fun (f : Lint.Rule.finding) -> (name, f.rule_id, f.line, f.devices))
+          (Lint.Runner.run circ))
+      (shipped @ exported)
+  in
+  Alcotest.(check (list (pair (pair string string)
+                           (pair (option int) (list string)))))
+    "findings and their lines"
+    (List.map (fun (d, r, l, ds) -> ((d, r), (l, ds))) finding_lines)
+    (List.sort compare (List.map (fun (d, r, l, ds) -> ((d, r), (l, ds))) cited))
+
 let test_compile_error_cites_line () =
   let circ = parse "badmodel\nV1 a 0 DC 1\nR1 a 0 1k\nD1 a 0 nosuch\n" in
   match Engine.Mna.compile circ with
@@ -464,7 +558,7 @@ let test_pattern_covers_pencil () =
 let test_json () =
   let circ = parse "vloop\nV1 a 0 DC 1\nV2 a 0 DC 1\nR1 a 0 1k\n" in
   let findings = Lint.Runner.run circ in
-  let js = Lint.Json.report ~file:"vloop.sp" findings in
+  let js = Tool.Json.to_string (Tool.Lint_report.json ~file:"vloop.sp" findings) in
   let mentions sub =
     let n = String.length sub and len = String.length js in
     let rec go i = i + n <= len && (String.sub js i n = sub || go (i + 1)) in
@@ -485,7 +579,7 @@ let test_json_escaping () =
   Alcotest.(check string) "escapes"
     "{\"rule\":\"x\",\"severity\":\"info\",\"message\":\"tab\\there \
      \\\"and\\\" \\\\ nl\\n\",\"nets\":[],\"devices\":[]}"
-    (Lint.Json.of_finding f)
+    (Tool.Json.to_string (Tool.Lint_report.finding_json f))
 
 (* ---------- graph-powered rules ---------- *)
 
@@ -718,6 +812,10 @@ let () =
       ( "lines",
         [ Alcotest.test_case "parser records lines" `Quick
             test_lines_recorded;
+          Alcotest.test_case "lines survive edits" `Quick
+            test_lines_survive_edits;
+          Alcotest.test_case "findings cite their lines" `Quick
+            test_finding_lines;
           Alcotest.test_case "compile error cites line" `Quick
             test_compile_error_cites_line ] );
       ( "diagnostics",

@@ -198,12 +198,17 @@ let test_calculator_stab_chain () =
 
 let test_html_reports () =
   let circ = Workloads.Filters.parallel_rlc () in
-  let results = Stability.Analysis.all_nodes circ in
-  let html = Tool.Html_report.all_nodes circ results in
+  let probe = Stability.Probe.prepare circ in
+  let results = Stability.Analysis.all_nodes_prepared probe in
+  let plots = Stability.Analysis.coarse_plots probe in
+  let html = Tool.Html_report.all_nodes ~plots circ results in
   Alcotest.(check bool) "has loop table" true (contains html "Loops (Table 2");
   Alcotest.(check bool) "has svg" true (contains html "<svg");
   Alcotest.(check bool) "has netlist" true (contains html "R1 n 0 100");
-  let single = Tool.Html_report.single_node circ (List.hd results) in
+  let r = List.hd results in
+  let single =
+    Tool.Html_report.single_node circ r (List.assoc r.node (plots [ r.node ]))
+  in
   Alcotest.(check bool) "single has peaks table" true
     (contains single "Detected peaks");
   Alcotest.(check bool) "single has two plots" true
@@ -1741,29 +1746,139 @@ let test_plans_on_demand_bits () =
          = Engine.Ac_plan.skeleton every.(b)))
     [ "fb_5"; "fb_2" ]
 
+let same_floats what a b =
+  Alcotest.(check bool) what true
+    (Array.length a = Array.length b
+     && Array.for_all2
+          (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+          a b)
+
+(* The serve campaign's variant [k] of the six-stage chain: each R and C
+   scaled by its own seeded factor within 2%. *)
+let campaign_variant ~seed k =
+  let st = Random.State.make [| seed; k |] in
+  let scale v =
+    v *. (1. +. (0.02 *. ((2. *. Random.State.float st 1.) -. 1.)))
+  in
+  Workloads.Synth.amp_array ~stages:6 ()
+  |> Circuit.Netlist.map_devices (function
+       | Circuit.Netlist.Resistor r ->
+         Circuit.Netlist.Resistor { r with r = scale r.r }
+       | Circuit.Netlist.Capacitor c ->
+         Circuit.Netlist.Capacitor { c with c = scale c.c }
+       | d -> d)
+  |> Circuit.Netlist.to_spice
+
+(* Results keep no plot: a printed one is swept again through the
+   cached probe and plan, with no DC solve and no symbolic analysis, and
+   equals bit for bit the plot of the cleaned response of the run's own
+   coarse scan: on the op-amp after an all-nodes run (every net, and
+   one), and on a campaign variant of the six-stage chain after a
+   single-node run and after an all-nodes run (the chain has a block
+   per stage, and a block solves a lone net by another path than a
+   batch). *)
+let test_coarse_plots_bits () =
+  let check ~name ~text analysis nets =
+    let cache = Tool.Cache.create () in
+    let o =
+      match
+        Tool.Pipeline.run ~cache
+          (Tool.Pipeline.request
+             (Tool.Pipeline.Deck_text { name; text }) analysis)
+      with
+      | Ok o -> o
+      | Error f -> Alcotest.failf "%s: %s" name (Tool.Pipeline.failure_message f)
+    in
+    let (plots, solves), symbolic =
+      delta "acplan.symbolic" (fun () ->
+          delta "dcop.solves" (fun () -> Tool.Pipeline.coarse_plots ~cache o nets))
+    in
+    Alcotest.(check int) (name ^ ": no DC solve") 0 solves;
+    Alcotest.(check int) (name ^ ": no symbolic analysis") 0 symbolic;
+    let probe = Stability.Probe.prepare o.Tool.Pipeline.loaded.Tool.Pipeline.circ in
+    let swept =
+      match analysis with
+      | Tool.Pipeline.Single_node n -> [ n ]
+      | _ ->
+        Array.to_list
+          (Circuit.Topology.nodes probe.Stability.Probe.mna.Engine.Mna.topo)
+    in
+    let coarse =
+      Stability.Probe.response_many probe
+        ~sweep:Stability.Analysis.default_options.Stability.Analysis.sweep
+        swept
+    in
+    Alcotest.(check (list string)) (name ^ ": one plot per net") nets
+      (List.map fst plots);
+    List.iter
+      (fun (net, (p : Stability.Stability_plot.t)) ->
+        let w, _ =
+          Option.get (Stability.Analysis.live_window (List.assoc net coarse))
+        in
+        let q = Stability.Stability_plot.of_response w in
+        let what = Printf.sprintf "%s at %s: " name net in
+        same_floats (what ^ "freqs") q.freqs p.freqs;
+        same_floats (what ^ "|T|") q.mag p.mag;
+        same_floats (what ^ "P") q.p p.p;
+        Alcotest.(check int) (what ^ "clamped") q.clamped p.clamped)
+      plots
+  in
+  let opamp = Workloads.Opamp_2mhz.buffer () in
+  let live =
+    List.map
+      (fun (r : Stability.Analysis.node_result) -> r.node)
+      (Stability.Analysis.all_nodes opamp)
+  in
+  let text = Circuit.Netlist.to_spice opamp in
+  check ~name:"opamp_2mhz_buffer.sp" ~text (Tool.Pipeline.All_nodes None) live;
+  check ~name:"opamp_2mhz_buffer.sp" ~text (Tool.Pipeline.All_nodes None)
+    [ "out" ];
+  let text = campaign_variant ~seed:4321 0 in
+  check ~name:"amp_array_6_v0.sp" ~text (Tool.Pipeline.Single_node "fb_5")
+    [ "fb_5" ];
+  check ~name:"amp_array_6_v0.sp" ~text (Tool.Pipeline.All_nodes None)
+    [ "fb_5"; "x2_1" ]
+
+(* What one campaign miss leaves in a cache: the parsed deck, the
+   prepared probe, the probed block's plan, the results with their
+   manifest and the static report. Counted without the manifest's
+   telemetry snapshot (counters and histograms), which lists whatever
+   the process has touched so far. About 4,630 words when results kept
+   their coarse plots and the netlist kept a second, line-number index
+   and a string per terminal; about 3,710 now. *)
+let test_cache_one_miss_footprint () =
+  let cache = Tool.Cache.create () in
+  let o =
+    match
+      Tool.Pipeline.run ~cache
+        (Tool.Pipeline.request
+           (Tool.Pipeline.Deck_text
+              { name = "amp_array_6_v0.sp"; text = campaign_variant ~seed:7701 0 })
+           (Tool.Pipeline.Single_node "fb_5"))
+    with
+    | Ok o -> o
+    | Error f -> Alcotest.failf "miss: %s" (Tool.Pipeline.failure_message f)
+  in
+  let m = o.Tool.Pipeline.manifest in
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let kept =
+    words cache - words (m.Tool.Manifest.counters, m.Tool.Manifest.histograms)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "one miss keeps %d words, under 4000" kept)
+    true (kept < 4000)
+
 (* A campaign's kept misses: after 64 distinct single-node misses of the
    six-stage chain (the serve campaign's decks, each R and C scaled by
    its own seeded factor within 2%), the cache holds the probed block's
    plan per variant, a static report without its graph and no answer
    text. 406,154 words when every block was compiled and the graph
-   kept; 287,000 to 291,000 now (each manifest lists every counter
-   registered in the process, so the figure moves a little with the
-   tests that ran before). *)
+   kept; 287,000 to 291,000 while results kept their coarse plots;
+   about 232,000 now (each manifest lists every counter registered in
+   the process, so the figure moves a little with the tests that ran
+   before). *)
 let test_cache_campaign_footprint () =
-  let variant k =
-    let st = Random.State.make [| 1234; k |] in
-    let scale v =
-      v *. (1. +. (0.02 *. ((2. *. Random.State.float st 1.) -. 1.)))
-    in
-    Workloads.Synth.amp_array ~stages:6 ()
-    |> Circuit.Netlist.map_devices (function
-         | Circuit.Netlist.Resistor r ->
-           Circuit.Netlist.Resistor { r with r = scale r.r }
-         | Circuit.Netlist.Capacitor c ->
-           Circuit.Netlist.Capacitor { c with c = scale c.c }
-         | d -> d)
-    |> Circuit.Netlist.to_spice
-  in
+  let variant = campaign_variant ~seed:1234 in
   let cache = Tool.Cache.create ~capacity:64 () in
   for k = 0 to 63 do
     match
@@ -1844,6 +1959,10 @@ let () =
            test_plans_compile_on_demand;
          Alcotest.test_case "bits of every-block plans" `Quick
            test_plans_on_demand_bits;
+         Alcotest.test_case "coarse plots swept again" `Quick
+           test_coarse_plots_bits;
+         Alcotest.test_case "one miss footprint" `Quick
+           test_cache_one_miss_footprint;
          Alcotest.test_case "campaign cache footprint" `Quick
            test_cache_campaign_footprint ]);
       ("cache",
