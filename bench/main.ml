@@ -134,11 +134,9 @@ let run_fig4 circ =
   section "Fig 4 -- stability plot at the output node";
   let node = Workloads.Opamp_2mhz.node_out in
   let probe = Stability.Probe.prepare circ in
-  let options = Stability.Analysis.default_options in
-  let plan = Stability.Analysis.shared_plan options probe in
-  let r = Stability.Analysis.single_node_prepared ?plan probe node in
+  let r = Stability.Analysis.single_node_prepared probe node in
   let plot =
-    match Stability.Analysis.coarse_plots ?plan probe [ node ] with
+    match Stability.Analysis.coarse_plots probe [ node ] with
     | [ (_, p) ] -> p
     | _ -> failwith "Fig 4: the output shows no AC response"
   in

@@ -186,9 +186,9 @@ let set_device_line c name line =
         c.by_name }
 
 let device_line c name =
-  match Smap.find_opt (key name) c.by_name with
-  | Some { line; _ } when line > 0 -> Some line
-  | _ -> None
+  match Smap.find (key name) c.by_name with
+  | { line; _ } when line > 0 -> Some line
+  | _ | (exception Not_found) -> None
 
 let options c = Smap.bindings c.options_map
 let devices c = List.rev c.rev_devices
@@ -196,12 +196,14 @@ let models c = List.map snd (Smap.bindings c.models_map)
 let params c = List.rev c.rev_params
 let directives c = List.rev c.rev_directives
 let find_device c name =
-  Option.map (fun n -> n.dev) (Smap.find_opt (key name) c.by_name)
+  match Smap.find (key name) c.by_name with
+  | n -> Some n.dev
+  | exception Not_found -> None
 
 let find_model c name = Smap.find_opt (key name) c.models_map
 
 let line_of c k =
-  match Smap.find_opt k c.by_name with Some n -> n.line | None -> 0
+  match Smap.find k c.by_name with n -> n.line | exception Not_found -> 0
 
 let remove_device c name =
   let k = key name in
