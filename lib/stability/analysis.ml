@@ -377,18 +377,15 @@ let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
    a wanted net sweeps again what the run swept in it, and each net's
    response is the run's bit for bit. Health sampling only reads the
    factors. *)
-let coarse_plots ?(options = default_options) ?plan ?kernel ?swept probe
-    nodes =
+let coarse_plots ?(options = default_options) ?plan ?kernel ?(swept = [])
+    probe nodes =
   let plan, kernel = run_sets options ?plan ?kernel probe in
+  let blocks = List.map (Probe.block_of probe) nodes in
   let batch =
-    match swept with
-    | None -> List.sort_uniq compare nodes
-    | Some swept ->
-      let blocks = List.map (Probe.block_of probe) nodes in
-      List.filter (fun n -> List.mem (Probe.block_of probe n) blocks) swept
-      @ List.filter
-          (fun n -> not (List.mem n swept))
-          (List.sort_uniq compare nodes)
+    List.filter (fun n -> List.mem (Probe.block_of probe n) blocks) swept
+    @ List.filter
+        (fun n -> not (List.mem n swept))
+        (List.sort_uniq compare nodes)
   in
   let responses =
     response_many options ?plan ?kernel probe batch ~sweep:options.sweep

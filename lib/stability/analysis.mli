@@ -140,9 +140,9 @@ val coarse_plots :
     left out. Results keep no plot, so only a caller that prints one
     pays for this sweep.
 
-    [swept] lists the nets the run probed (default: [nodes]). In each
-    block that holds one of [nodes], the sweep solves the nets of
-    [swept] there too, so that the block solves the run's batch: a
+    [swept] lists the nets the run probed (default: none but [nodes]).
+    In each block that holds one of [nodes], the sweep solves the nets
+    of [swept] there too, so that the block solves the run's batch: a
     solve gives a net the same bits whatever else the batch holds,
     except that a batch of one takes a path of its own. Each plot then
     equals, bit for bit, the one the run's coarse scan gave the net. *)

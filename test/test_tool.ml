@@ -1778,7 +1778,7 @@ let campaign_variant ~seed k =
    per stage, and a block solves a lone net by another path than a
    batch). *)
 let test_coarse_plots_bits () =
-  let check ~name ~text analysis nets =
+  let check ~name ~text ?nets analysis =
     let cache = Tool.Cache.create () in
     let o =
       match
@@ -1788,6 +1788,14 @@ let test_coarse_plots_bits () =
       with
       | Ok o -> o
       | Error f -> Alcotest.failf "%s: %s" name (Tool.Pipeline.failure_message f)
+    in
+    let nets =
+      match nets with
+      | Some nets -> nets
+      | None ->
+        List.map
+          (fun (r : Stability.Analysis.node_result) -> r.node)
+          o.Tool.Pipeline.results
     in
     let (plots, solves), symbolic =
       delta "acplan.symbolic" (fun () ->
@@ -1823,21 +1831,14 @@ let test_coarse_plots_bits () =
         Alcotest.(check int) (what ^ "clamped") q.clamped p.clamped)
       plots
   in
-  let opamp = Workloads.Opamp_2mhz.buffer () in
-  let live =
-    List.map
-      (fun (r : Stability.Analysis.node_result) -> r.node)
-      (Stability.Analysis.all_nodes opamp)
-  in
-  let text = Circuit.Netlist.to_spice opamp in
-  check ~name:"opamp_2mhz_buffer.sp" ~text (Tool.Pipeline.All_nodes None) live;
-  check ~name:"opamp_2mhz_buffer.sp" ~text (Tool.Pipeline.All_nodes None)
-    [ "out" ];
+  let text = Circuit.Netlist.to_spice (Workloads.Opamp_2mhz.buffer ()) in
+  check ~name:"opamp_2mhz_buffer.sp" ~text (Tool.Pipeline.All_nodes None);
+  check ~name:"opamp_2mhz_buffer.sp" ~text ~nets:[ "out" ]
+    (Tool.Pipeline.All_nodes None);
   let text = campaign_variant ~seed:4321 0 in
-  check ~name:"amp_array_6_v0.sp" ~text (Tool.Pipeline.Single_node "fb_5")
-    [ "fb_5" ];
-  check ~name:"amp_array_6_v0.sp" ~text (Tool.Pipeline.All_nodes None)
-    [ "fb_5"; "x2_1" ]
+  check ~name:"amp_array_6_v0.sp" ~text (Tool.Pipeline.Single_node "fb_5");
+  check ~name:"amp_array_6_v0.sp" ~text ~nets:[ "fb_5"; "x2_1" ]
+    (Tool.Pipeline.All_nodes None)
 
 (* What one campaign miss leaves in a cache: the parsed deck, the
    prepared probe, the probed block's plan, the results with their
